@@ -21,11 +21,10 @@ recipes of successive PRs:
     controller bank and streaming (``trace="summary"``) telemetry — no
     per-device Python in the adapt phase and O(devices) memory.
 ``batched_noise``
-    The PR 4 recipe: the controller-bank recipe plus the batched
-    acquisition layer (``noise="batched"``) — pooled counter-based
-    noise streams, fleet-wide ring sample storage and persistent
-    per-device signal tables, removing the last per-device Python from
-    the sense path.
+    The controller-bank recipe with pooled counter-based noise
+    streams (``noise="batched"``).  Both recipes share the cached
+    acquisition layer (persistent per-device signal tables and stacked
+    sensor constants), so they differ only in the noise generator.
 ``float32``
     This PR's recipe: the batched-noise recipe run in the
     single-precision compute lane (``dtype="float32"``) through a
@@ -34,15 +33,15 @@ recipes of successive PRs:
 
 **Scaling sweep**: the ``incremental``, ``controller_bank``,
 ``batched_noise`` and ``float32`` recipes are raced over growing
-device counts (50 → 5 000 by default).  Three hard gates at the
+device counts (50 → 5 000 by default).  Two hard gates at the
 largest count, where per-device Python dominates the per-tick budget:
 the controller-bank recipe must deliver at least
 ``REPRO_MIN_BANK_SPEEDUP``× (default 1.3×) the PR 2 incremental
-recipe's devices/s, the batched-noise recipe at least
-``REPRO_MIN_NOISE_SPEEDUP``× (default 1.25×) the controller-bank
-recipe's, and the float32 lane at least
+recipe's devices/s, and the float32 lane at least
 ``REPRO_MIN_FLOAT32_SPEEDUP``× (default 1.25×) the batched-noise
-recipe's.
+recipe's.  The batched-noise vs controller-bank ratio is recorded but
+not gated: with one shared acquisition layer it measures only the
+noise generator.
 
 Set ``REPRO_BENCH_SMOKE=1`` (as CI does on shared runners) to run the
 whole file in smoke mode: tiny populations, no thresholds, no
@@ -111,16 +110,6 @@ MIN_INCREMENTAL_SPEEDUP = 0.0 if SMOKE else float(
 #: incremental recipe at the largest sweep count (same override story).
 MIN_BANK_SPEEDUP = 0.0 if SMOKE else float(
     os.environ.get("REPRO_MIN_BANK_SPEEDUP", "1.3")
-)
-
-#: Required speedup of the batched-noise acquisition layer over the
-#: PR 3 controller-bank recipe at the largest sweep count.  The
-#: separation varies with host shape — ~1.5x on multi-core dedicated
-#: hardware, ~1.3x on 1-vCPU shared machines — so the default is the
-#: portable floor; dedicated hardware tracks the stronger bound via
-#: REPRO_MIN_NOISE_SPEEDUP=1.4.
-MIN_NOISE_SPEEDUP = 0.0 if SMOKE else float(
-    os.environ.get("REPRO_MIN_NOISE_SPEEDUP", "1.25")
 )
 
 #: Required speedup of the single-precision lane (float32 recipe run
@@ -400,7 +389,7 @@ def test_fleet_throughput_modes(benchmark, fleet_setup):
 def test_fleet_throughput_scaling_sweep(fleet_setup):
     """Race the PR 2 incremental, PR 3 controller-bank, batched-noise
     and float32-lane recipes over growing device counts; gate the
-    speedups at the top."""
+    bank and float32 speedups at the top."""
     pipeline, _ = fleet_setup
     pr2_style, _ = _make_engine(pipeline, "incremental")
     bank_engine, bank_trace = _make_engine(pipeline, "controller_bank")
@@ -474,7 +463,6 @@ def test_fleet_throughput_scaling_sweep(fleet_setup):
                         "speedup_float32_vs_noise"
                     ],
                     "min_bank_speedup": MIN_BANK_SPEEDUP,
-                    "min_noise_speedup": MIN_NOISE_SPEEDUP,
                     "min_float32_speedup": MIN_FLOAT32_SPEEDUP,
                 },
             },
@@ -500,7 +488,6 @@ def test_fleet_throughput_scaling_sweep(fleet_setup):
             ]
             + [
                 f"gates (at {top} devices): bank >= {MIN_BANK_SPEEDUP}x, "
-                f"noise >= {MIN_NOISE_SPEEDUP}x, "
                 f"float32 >= {MIN_FLOAT32_SPEEDUP}x"
             ]
         ),
@@ -510,12 +497,6 @@ def test_fleet_throughput_scaling_sweep(fleet_setup):
     assert speedup >= MIN_BANK_SPEEDUP, (
         f"controller-bank throughput is only {speedup:.2f}x the PR 2 "
         f"incremental recipe (required: {MIN_BANK_SPEEDUP}x) at {top} devices"
-    )
-    noise_speedup = sweep[top]["speedup_noise_vs_bank"]
-    assert noise_speedup >= MIN_NOISE_SPEEDUP, (
-        f"batched-noise throughput is only {noise_speedup:.2f}x the PR 3 "
-        f"controller-bank recipe (required: {MIN_NOISE_SPEEDUP}x) at {top} "
-        f"devices"
     )
     float32_speedup = sweep[top]["speedup_float32_vs_noise"]
     assert float32_speedup >= MIN_FLOAT32_SPEEDUP, (

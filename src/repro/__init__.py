@@ -104,7 +104,7 @@ from repro.fleet import (
 from repro.sim.runtime import ClosedLoopSimulator
 from repro.sim.trace import SimulationTrace
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 __all__ = [
     "__version__",

@@ -338,7 +338,9 @@ class CampaignRunner:
         """
         physical = tuple(population)
         fused, assignment = fused_layout(physical, self._variants)
-        duration = resolve_fleet_duration(fused, duration_s)
+        duration = resolve_fleet_duration(
+            fused, duration_s, self._settings["step_s"]
+        )
         if self._metrics is not None:
             self._metrics.gauge("campaign.variants", len(self._variants))
             self._metrics.gauge("campaign.devices", len(physical))
@@ -392,7 +394,9 @@ class CampaignRunner:
         construction from scratch.
         """
         physical = tuple(population)
-        duration = resolve_fleet_duration(physical, duration_s)
+        duration = resolve_fleet_duration(
+            physical, duration_s, self._settings["step_s"]
+        )
         start = time.perf_counter()
         traces: List[object] = []
         for variant in self._variants:

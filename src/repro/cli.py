@@ -30,6 +30,7 @@ entry point.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Callable, Dict, Optional, Sequence
 
@@ -127,6 +128,47 @@ EXPERIMENTS: Dict[str, tuple[str, ExperimentRunner]] = {
 
 _CONTROLLERS = ("static", "spot", "spot_confidence")
 
+#: Classification period of every engine the CLI builds (their default).
+_TICK_S = 1.0
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}"
+        ) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
+    return value
+
+
+def _fleet_duration(text: str) -> float:
+    """argparse type: simulated seconds covering at least one tick."""
+    value = _positive_float(text)
+    if value < _TICK_S:
+        raise argparse.ArgumentTypeError(
+            f"must cover at least one {_TICK_S:g} s tick, got {text}"
+        )
+    return value
+
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for the CLI."""
@@ -199,9 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate a heterogeneous device population with the fleet engine",
         parents=[common],
     )
-    fleet_parser.add_argument("--devices", type=int, default=100,
+    fleet_parser.add_argument("--devices", type=_positive_int, default=100,
                               help="number of simulated devices (default: 100)")
-    fleet_parser.add_argument("--duration", type=float, default=600.0,
+    fleet_parser.add_argument("--duration", type=_fleet_duration, default=600.0,
                               help="simulated seconds per device (default: 600)")
     fleet_parser.add_argument("--out", default=None,
                               help="write the full JSON telemetry report here")
@@ -216,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
              "or the exact full-window path",
     )
     fleet_parser.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_positive_int, default=None,
         help="worker processes for --engine sharded (default: CPU count)",
     )
     fleet_parser.add_argument(
@@ -240,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
              "from the last complete round bit-identically",
     )
     fleet_parser.add_argument(
-        "--round", type=float, default=None, dest="round_s",
+        "--round", type=_positive_float, default=None, dest="round_s",
         metavar="SECONDS",
         help="simulated seconds per checkpoint round (default: 60 when "
              "--checkpoint is given)",
@@ -333,10 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a controller hyperparameter grid as one fused stacked fleet",
         parents=[common],
     )
-    campaign_parser.add_argument("--devices", type=int, default=100,
+    campaign_parser.add_argument("--devices", type=_positive_int, default=100,
                                  help="physical devices in the shared population "
                                       "(default: 100)")
-    campaign_parser.add_argument("--duration", type=float, default=600.0,
+    campaign_parser.add_argument("--duration", type=_fleet_duration,
+                                 default=600.0,
                                  help="simulated seconds per device (default: 600)")
     campaign_parser.add_argument(
         "--thresholds", default=None, metavar="T1,T2,...",
@@ -362,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the campaign JSON report (variants, Pareto fronts) here",
     )
     campaign_parser.add_argument(
-        "--shards", type=int, default=None,
+        "--shards", type=_positive_int, default=None,
         help="split the fused fleet across worker processes on the "
              "variant axis (default: in-process)",
     )
@@ -372,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
              "and can be resumed bit-identically with --resume",
     )
     campaign_parser.add_argument(
-        "--round", type=float, default=None, dest="round_s", metavar="SECONDS",
+        "--round", type=_positive_float, default=None, dest="round_s",
+        metavar="SECONDS",
         help="simulated seconds per checkpoint round (default: 60 when "
              "--checkpoint is given)",
     )

@@ -277,7 +277,7 @@ class ActivityRealization:
     phases: np.ndarray
     fundamental_hz: float
     #: Lazily cached axis-grouped component layout for the stacked
-    #: evaluator (see :func:`evaluate_realizations_windowed`); excluded
+    #: evaluator (see :class:`StackedEvaluationCache`); excluded
     #: from equality/repr because it is derived from the other fields.
     _fused_layout: Optional[tuple] = field(
         default=None, init=False, repr=False, compare=False
@@ -397,7 +397,7 @@ class ActivityRealization:
 
 #: Largest per-axis component count the fused stacked evaluator handles.
 #: NumPy sums fewer than eight elements along an axis with a plain
-#: left-to-right loop, which the fused evaluator's round-by-round adds
+#: left-to-right loop, which the fused evaluator's slot-by-slot adds
 #: reproduce bit for bit; at eight elements NumPy switches to unrolled
 #: pairwise summation and the fused path falls back to per-realisation
 #: evaluation.
@@ -412,166 +412,6 @@ def _resolve_dtype(dtype) -> np.dtype:
     return resolved
 
 
-def evaluate_realizations_windowed(
-    realizations: Sequence[ActivityRealization],
-    times_s: np.ndarray,
-    window_s: float,
-    dtype=np.float64,
-) -> np.ndarray:
-    """Evaluate many realisations over one shared time grid in one pass.
-
-    This is the sensing hot path of the fleet engine: every device in a
-    configuration group samples the *same* window times, so instead of
-    one trigonometric evaluation per device the sinusoidal components of
-    all realisations are concatenated and evaluated with a single
-    ``sin`` over a ``(times, total_components)`` matrix.  Per-device,
-    per-axis sums then fall out of one ``np.add.reduceat`` over
-    axis-grouped columns.
-
-    The result is bit-for-bit identical to::
-
-        np.stack([r.evaluate_windowed(times_s, window_s) for r in realizations])
-
-    Realisations the fused path cannot reproduce exactly (no components,
-    or eight-plus components on one axis, where NumPy switches to
-    pairwise summation) are evaluated individually.
-
-    ``dtype`` selects the compute lane: with ``float32`` the component
-    tables and the trigonometric pass run single-precision (the
-    bit-identity guarantee above applies to the default float64 lane).
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(len(realizations), len(times_s), 3)``.
-    """
-    return _StackedTables(realizations, window_s, dtype=dtype).evaluate(times_s)
-
-
-class _StackedTables:
-    """Assembled component tables of one realisation group.
-
-    Building the tables — concatenating every realisation's
-    axis-grouped components, the ``sinc`` attenuation of the averaging
-    window and the round-by-round gather plan — costs a Python pass
-    over the group, but the result depends only on *which* realisations
-    are grouped and the window span, never on the sample times.  The
-    one-shot :func:`evaluate_realizations_windowed` builds an instance
-    per call; the fleet engine's persistent per-device spelling is
-    :class:`StackedEvaluationCache`.  Both run the identical
-    arithmetic, which is what keeps the cached path bit-for-bit equal
-    to the uncached one.
-    """
-
-    def __init__(
-        self,
-        realizations: Sequence[ActivityRealization],
-        window_s: float,
-        dtype=np.float64,
-    ) -> None:
-        check_non_negative(window_s, "window_s")
-        self._realizations = tuple(realizations)
-        self._window_s = float(window_s)
-        self._dtype = _resolve_dtype(dtype)
-
-        fused: List[int] = []
-        loose: List[int] = []
-        amplitude_parts: List[np.ndarray] = []
-        frequency_parts: List[np.ndarray] = []
-        phase_parts: List[np.ndarray] = []
-        group_sizes: List[int] = []
-        for index, realization in enumerate(self._realizations):
-            # The axis-grouped layout (stable sort: each axis's
-            # components contiguous, original order preserved —
-            # matching the boolean-mask selection of the
-            # per-realisation path) is cached on the realisation.
-            fusable, amplitudes_d, frequencies_d, phases_d, counts = (
-                realization.fused_layout()
-            )
-            if not fusable:
-                loose.append(index)
-                continue
-            fused.append(index)
-            amplitude_parts.append(amplitudes_d)
-            frequency_parts.append(frequencies_d)
-            phase_parts.append(phases_d)
-            group_sizes.extend(counts)
-        self._fused = np.asarray(fused, dtype=np.intp)
-        self._loose = tuple(loose)
-        if not fused:
-            return
-
-        amplitudes = np.concatenate(amplitude_parts)
-        frequencies = np.concatenate(frequency_parts)
-        self._phases = np.concatenate(phase_parts).astype(self._dtype, copy=False)
-        if self._window_s == 0.0:
-            effective_amplitudes = amplitudes
-        else:
-            effective_amplitudes = amplitudes * np.sinc(
-                frequencies * self._window_s
-            )
-        # Tables are built in float64 and cast once, so the float32 lane
-        # starts from correctly rounded double-precision constants.
-        self._effective_amplitudes = effective_amplitudes.astype(
-            self._dtype, copy=False
-        )
-        self._angular = (2.0 * np.pi * frequencies).astype(self._dtype, copy=False)
-
-        # Gather plan for the per-(device, axis) sums: every group's
-        # k-th component in one gather per round, so each group is
-        # summed strictly left to right — the order NumPy uses for the
-        # per-realisation ``contributions[:, mask].sum(axis=1)`` with
-        # < 8 components.
-        sizes = np.asarray(group_sizes)
-        starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        self._num_groups = sizes.size
-        self._rounds: List[Tuple[np.ndarray, np.ndarray]] = []
-        for round_index in range(int(sizes.max())):
-            active = np.flatnonzero(sizes > round_index)
-            self._rounds.append((active, starts[active] + round_index))
-        self._offsets = np.stack(
-            [self._realizations[i].offset for i in fused]
-        ).astype(self._dtype, copy=False)
-
-    def evaluate(self, times_s: np.ndarray) -> np.ndarray:
-        """Stacked windowed evaluation over one shared time grid."""
-        times = np.asarray(times_s, dtype=float)
-        if times.ndim != 1:
-            raise ValueError(
-                f"times_s must be a 1-D array, got shape {times.shape}"
-            )
-        output = np.empty(
-            (len(self._realizations), times.shape[0], NUM_AXES),
-            dtype=self._dtype,
-        )
-        for index in self._loose:
-            output[index] = self._realizations[index].evaluate_windowed(
-                times, self._window_s
-            )
-        if not self._fused.size:
-            return output
-
-        shifted = (
-            times if self._window_s == 0.0 else times - self._window_s / 2.0
-        )
-        effective_times = shifted.astype(self._dtype, copy=False)[:, None]
-        angles = (
-            self._angular[None, :] * effective_times + self._phases[None, :]
-        )
-        contributions = self._effective_amplitudes[None, :] * np.sin(angles)
-        sums = np.zeros((times.shape[0], self._num_groups), dtype=self._dtype)
-        for round_index, (active, sources) in enumerate(self._rounds):
-            if round_index == 0:
-                sums[:, active] = contributions[:, sources]
-            else:
-                sums[:, active] = sums[:, active] + contributions[:, sources]
-        values = sums.reshape(
-            times.shape[0], self._fused.size, NUM_AXES
-        ).transpose(1, 0, 2)
-        output[self._fused] = self._offsets[:, None, :] + values
-        return output
-
-
 class StackedEvaluationCache:
     """Persistent per-device component tables for the fleet sense path.
 
@@ -584,18 +424,20 @@ class StackedEvaluationCache:
     zero-amplitude components to ``k`` slots per axis, and a row is
     rewritten only when that device crosses a bout boundary.  A tick's
     evaluation is then one gather of the group's rows, one
-    trigonometric pass over ``(group, 3 * k, times)`` and one
-    fixed-width axis reduction.
+    trigonometric pass over ``(group, 3 * w, times)`` and one
+    fixed-width axis reduction per distinct row width ``w`` — each row
+    records the widest axis of its own realisation, so a static
+    activity (one component per axis) never evaluates the padding
+    slots a gait realisation needs.
 
-    Padding preserves bit-identity with the unpadded evaluators: each
+    Results are bit-for-bit ``np.stack([r.evaluate_windowed(times, w)
+    for r in realizations])`` (pinned by the equivalence tests): each
     axis's real components keep their stable order, NumPy reduces the
-    ``k < 8`` slots strictly left to right, and the trailing
-    zero-amplitude slots contribute exact ``+0.0`` terms.  Results are
-    bit-for-bit those of :func:`evaluate_realizations_windowed`
-    (pinned by the equivalence tests); realisations the padded layout
-    cannot host (empty, or more components per axis than the fused
-    limit) fall back to per-realisation evaluation, exactly as the
-    one-shot path does.
+    ``w < 8`` slots strictly left to right, and the zero-amplitude
+    slots a row of width ``w`` still carries contribute exact ``+0.0``
+    terms.  Realisations the padded layout cannot host (empty, or more
+    components per axis than the fused limit) fall back to
+    per-realisation evaluation.
     """
 
     def __init__(self, num_devices: int = 0, dtype=np.float64) -> None:
@@ -608,6 +450,9 @@ class StackedEvaluationCache:
         self._slots = 0
         self._refs: List[Optional[ActivityRealization]] = [None] * num_devices
         self._fusable = np.zeros(num_devices, dtype=bool)
+        #: Per-row slot width: the row realisation's largest per-axis
+        #: component count, the only slots its evaluation touches.
+        self._widths = np.zeros(num_devices, dtype=np.intp)
         #: Validity interval of each cached row: the time bounds of the
         #: bout the row was built from.  A window inside the interval
         #: needs no per-device lookup at all.
@@ -638,6 +483,18 @@ class StackedEvaluationCache:
         #: clean signal once and gathers it).
         self.shared_hits = 0
 
+    def __getstate__(self) -> dict:
+        # The trig scratch is regrowable working memory, not state:
+        # checkpoints leave it out and a restored cache regrows it on
+        # its first evaluation.
+        state = self.__dict__.copy()
+        del state["_scratch"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._scratch = np.empty(0, dtype=self._dtype)
+
     def _grow(self, num_devices: int, slots: int) -> None:
         """Widen the row arrays, remapping existing rows in place.
 
@@ -651,6 +508,7 @@ class StackedEvaluationCache:
         self._slots = max(slots, self._slots)
         width = NUM_AXES * self._slots
         shape = (self._num_devices, width)
+        added = self._num_devices - old_devices
 
         def remap(old: Optional[np.ndarray]) -> np.ndarray:
             grown = np.zeros(shape, dtype=self._dtype)
@@ -662,16 +520,13 @@ class StackedEvaluationCache:
                     ] = old[:old_devices, axis * old_slots : (axis + 1) * old_slots]
             return grown
 
-        self._refs = self._refs + [None] * (self._num_devices - old_devices)
-        self._fusable = np.concatenate(
-            [self._fusable, np.zeros(self._num_devices - old_devices, dtype=bool)]
+        self._refs = self._refs + [None] * added
+        self._fusable = np.concatenate([self._fusable, np.zeros(added, dtype=bool)])
+        self._widths = np.concatenate(
+            [self._widths, np.zeros(added, dtype=np.intp)]
         )
-        self._starts = np.concatenate(
-            [self._starts, np.full(self._num_devices - old_devices, np.inf)]
-        )
-        self._ends = np.concatenate(
-            [self._ends, np.full(self._num_devices - old_devices, -np.inf)]
-        )
+        self._starts = np.concatenate([self._starts, np.full(added, np.inf)])
+        self._ends = np.concatenate([self._ends, np.full(added, -np.inf)])
         self._angular = remap(self._angular)
         self._amplitudes = remap(self._amplitudes)
         self._frequencies = remap(self._frequencies)
@@ -697,6 +552,7 @@ class StackedEvaluationCache:
             self._grow(self._num_devices, max(counts))
             self._refs[row] = realization
             self._fusable[row] = True
+        self._widths[row] = max(counts)
         slots = self._slots
         self._amplitudes[row] = 0.0
         self._angular[row] = 0.0
@@ -757,82 +613,6 @@ class StackedEvaluationCache:
             self._effective[span] = effective
         return effective
 
-    def evaluate(
-        self,
-        realizations: Sequence[ActivityRealization],
-        times_s: np.ndarray,
-        window_s: float,
-        rows: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Evaluate a group over one shared time grid.
-
-        Parameters
-        ----------
-        realizations:
-            The active realisation of every device in the group.
-        times_s, window_s:
-            As in :func:`evaluate_realizations_windowed`.
-        rows:
-            Stable per-device row indices parallel to
-            ``realizations`` (the fleet engine passes fleet device
-            ids).  Without rows the cache cannot persist anything and
-            falls back to the one-shot evaluator.
-        """
-        if rows is None:
-            return evaluate_realizations_windowed(
-                realizations, times_s, window_s
-            )
-        check_non_negative(window_s, "window_s")
-        window = float(window_s)
-        times = np.asarray(times_s, dtype=float)
-        if times.ndim != 1:
-            raise ValueError(
-                f"times_s must be a 1-D array, got shape {times.shape}"
-            )
-        rows = np.asarray(rows)
-        if rows.shape[0] != len(realizations):
-            raise ValueError(
-                f"rows must be parallel to realizations, got {rows.shape[0]} "
-                f"rows for {len(realizations)} realizations"
-            )
-        shared = self._dedupe_rows(rows)
-        if shared is not None:
-            unique_rows, first_positions, inverse = shared
-            evaluated = self.evaluate(
-                [realizations[position] for position in first_positions],
-                times,
-                window,
-                rows=unique_rows,
-            )
-            return evaluated[inverse]
-        if rows.size and int(rows.max()) >= self._num_devices:
-            self._grow(int(rows.max()) + 1, max(self._slots, 1))
-        for position, realization in enumerate(realizations):
-            # self._refs is re-read every iteration because a row
-            # update may grow (and thereby reset) the whole cache.
-            row = rows[position]
-            if self._refs[row] is not realization:
-                self._update_row(row, realization)
-                self.rebuilds += 1
-            else:
-                self.revalidations += 1
-
-        output = np.empty(
-            (len(realizations), times.shape[0], NUM_AXES), dtype=self._dtype
-        )
-        fusable_mask = self._fusable[rows]
-        for position in np.flatnonzero(~fusable_mask):
-            output[position] = realizations[position].evaluate_windowed(
-                times, window
-            )
-            self.fallbacks += 1
-        fused_positions = np.flatnonzero(fusable_mask)
-        if fused_positions.size:
-            self._evaluate_fused(
-                output, fused_positions, rows[fused_positions], times, window
-            )
-        return output
-
     def evaluate_signals(
         self,
         signals: Sequence,
@@ -842,17 +622,16 @@ class StackedEvaluationCache:
     ) -> np.ndarray:
         """Evaluate one device group directly from its signals.
 
-        The fastest spelling: instead of resolving every device's
-        active realisation each tick (a Python lookup per device), the
-        cache stores each row's *validity interval* — the time bounds
-        of the bout it was built from — and revalidates the whole group
-        with two array comparisons.  Only devices whose window left
-        their cached bout touch Python: they re-resolve through
+        Instead of resolving every device's active realisation each
+        tick (a Python lookup per device), the cache stores each row's
+        *validity interval* — the time bounds of the bout it was built
+        from — and revalidates the whole group with two array
+        comparisons.  Only devices whose window left their cached bout
+        touch Python: they re-resolve through
         :meth:`repro.datasets.synthetic.ScheduledSignal.spanning_segment`
         and rewrite their row.  Windows straddling a bout boundary, and
         signals without segment support, are evaluated individually for
-        that tick, exactly as :func:`evaluate_realizations_windowed`
-        treats its fallback cases.
+        that tick.
 
         Parameters
         ----------
@@ -860,8 +639,17 @@ class StackedEvaluationCache:
             The continuous signal of every device in the group.
         rows:
             Stable per-device row indices parallel to ``signals``.
-        times_s, window_s:
-            As in :func:`evaluate_realizations_windowed`.
+        times_s:
+            1-D array of output-sample time stamps shared by the group.
+        window_s:
+            Averaging-window span in seconds (0 samples instantaneously).
+
+        Returns
+        -------
+        numpy.ndarray
+            Array of shape ``(len(signals), len(times_s), 3)``, equal
+            bit for bit to each signal's ``evaluate_windowed(times_s,
+            window_s)``.
         """
         check_non_negative(window_s, "window_s")
         window = float(window_s)
@@ -892,8 +680,8 @@ class StackedEvaluationCache:
         if not rows.size:
             return output
         if not times.size:
-            # Mirror the one-shot evaluator: an empty grid yields an
-            # empty result per device, touching no cached state.
+            # An empty grid yields an empty result per device, touching
+            # no cached state.
             for position, signal in enumerate(signals):
                 output[position] = signal.evaluate_windowed(times, window)
             return output
@@ -947,33 +735,41 @@ class StackedEvaluationCache:
         times: np.ndarray,
         window: float,
     ) -> None:
-        """Fill ``output[positions]`` from the padded component rows."""
+        """Fill ``output[positions]`` from the padded component rows.
+
+        Rows are evaluated in one pass per distinct row width, each
+        over only its first ``width`` slots per axis: a row's slots
+        beyond its own width hold zero-amplitude padding whose exact
+        ``+0.0`` terms leave the sums unchanged.
+        """
         shifted = times if window == 0.0 else times - window / 2.0
         shifted = shifted.astype(self._dtype, copy=False)
-        angular = self._angular[fused_rows]
-        phases = self._phases_padded[fused_rows]
-        effective = self._effective_for(window)[fused_rows]
-        # One persistent scratch block holds the (group, width, times)
-        # trig intermediate; every ufunc writes in place, so the whole
-        # evaluation allocates nothing proportional to the group size.
-        needed = fused_rows.shape[0] * NUM_AXES * self._slots * times.shape[0]
-        if self._scratch.size < needed:
-            self._scratch = np.empty(needed, dtype=self._dtype)
-        work = self._scratch[:needed].reshape(
-            fused_rows.shape[0], NUM_AXES * self._slots, times.shape[0]
-        )
-        np.multiply(angular[:, :, None], shifted[None, None, :], out=work)
-        np.add(work, phases[:, :, None], out=work)
-        np.sin(work, out=work)
-        np.multiply(effective[:, :, None], work, out=work)
-        # k < 8 slots per axis reduce strictly left to right; the
-        # trailing zero-amplitude slots add exact zeros, so the sums
-        # equal the unpadded round-by-round accumulation bit for bit.
-        sums = work.reshape(
-            fused_rows.shape[0], NUM_AXES, self._slots, times.shape[0]
-        ).sum(axis=2)
-        np.add(self._offsets_padded[fused_rows][:, :, None], sums, out=sums)
-        output[positions] = sums.transpose(0, 2, 1)
+        effective = self._effective_for(window)
+        widths = self._widths[fused_rows]
+        per_axis = (-1, NUM_AXES, self._slots)
+        for width in np.unique(widths).tolist():
+            select = widths == width
+            group_rows = fused_rows[select]
+            angular = self._angular.reshape(per_axis)[group_rows, :, :width]
+            phases = self._phases_padded.reshape(per_axis)[group_rows, :, :width]
+            amplitudes = effective.reshape(per_axis)[group_rows, :, :width]
+            # One persistent scratch block holds the (group, 3, width,
+            # times) trig intermediate; every ufunc writes in place, so
+            # the evaluation allocates nothing proportional to the group.
+            shape = (group_rows.shape[0], NUM_AXES, width, times.shape[0])
+            needed = int(np.prod(shape))
+            if self._scratch.size < needed:
+                self._scratch = np.empty(needed, dtype=self._dtype)
+            work = self._scratch[:needed].reshape(shape)
+            np.multiply(angular[..., None], shifted, out=work)
+            np.add(work, phases[..., None], out=work)
+            np.sin(work, out=work)
+            np.multiply(amplitudes[..., None], work, out=work)
+            # width < 8 slots per axis reduce strictly left to right,
+            # the order of the per-realisation sum.
+            sums = work.sum(axis=2)
+            np.add(self._offsets_padded[group_rows][:, :, None], sums, out=sums)
+            output[positions[select]] = sums.transpose(0, 2, 1)
 
 
 def _profile(
@@ -1268,28 +1064,18 @@ class ScheduledSignal:
         indices = np.minimum(indices, len(self._segments) - 1)
         return [self._segments[int(index)].activity for index in indices]
 
-    def realization_spanning(
-        self, times_s: np.ndarray
-    ) -> Optional[ActivityRealization]:
-        """The single bout realisation covering every time stamp, if any.
-
-        Returns ``None`` when the (sorted) times straddle a bout
-        boundary, in which case the caller must fall back to the
-        segment-splitting :meth:`evaluate_windowed` path.
-        """
-        segment = self.spanning_segment(times_s)
-        return None if segment is None else segment.realization
-
     def spanning_segment(
         self, times_s: np.ndarray
     ) -> Optional[SignalSegment]:
         """The single bout covering every time stamp, if any.
 
-        The segment spelling of :meth:`realization_spanning` — callers
-        that cache per-bout state (the fleet engine's signal tables)
-        use the segment's time bounds to revalidate without a lookup.
-        Note the last segment is *clamped*: any window starting at or
-        after its start resolves to it, even past ``end_s``.
+        Returns ``None`` when the (sorted) times straddle a bout
+        boundary, in which case the caller must fall back to the
+        segment-splitting :meth:`evaluate_windowed` path.  Callers that
+        cache per-bout state (the fleet engine's signal tables) use the
+        segment's time bounds to revalidate without a lookup.  Note the
+        last segment is *clamped*: any window starting at or after its
+        start resolves to it, even past ``end_s``.
         """
         times = np.asarray(times_s, dtype=float)
         if times.size == 0:

@@ -12,15 +12,15 @@ Per simulated tick the engine performs, for every device:
 
 1. **Sense** — acquire one step of samples under the controller's
    active configuration.  Devices sharing a configuration are read with
-   one stacked pass (:func:`repro.sensors.imu.read_windows_stacked`),
-   bit-identical to per-device acquisition because every device keeps
-   its own noise stream.  With ``noise="batched"`` the whole layer
-   vectorises: measurement noise comes from pooled per-device Philox
-   streams (:class:`repro.sensors.noise_bank.NoiseBank`), clean
-   signals from persistent per-device component tables
-   (:class:`repro.datasets.synthetic.StackedEvaluationCache`), and the
+   one stacked pass (:func:`repro.sensors.imu.read_windows_stacked_raw`):
+   clean signals come from persistent per-device component tables
+   (:class:`repro.datasets.synthetic.StackedEvaluationCache`) and the
    sensor output stage from stacked
-   :class:`repro.sensors.imu.SensorStatics` arrays — statistically
+   :class:`repro.sensors.imu.SensorStatics` arrays.  The noise modes
+   differ only in the noise block: ``noise="per_device"`` draws from
+   every device's own stream, bit-identical to per-device acquisition;
+   ``noise="batched"`` takes pooled per-device Philox streams
+   (:class:`repro.sensors.noise_bank.NoiseBank`) — statistically
    equivalent noise, bit-identical across engines and shard counts
    within the mode.
 2. **Buffer** — push the acquisition into the device's classification
@@ -88,7 +88,6 @@ from repro.sensors.imu import (
     SensorStatics,
     SensorWindow,
     SimulatedAccelerometer,
-    read_windows_stacked,
     read_windows_stacked_raw,
 )
 from repro.sensors.noise_bank import NoiseBank
@@ -302,10 +301,11 @@ class EngineState:
     Everything :meth:`StepEngine.run` used to build per call that
     depends only on the runtimes and the engine modes — the controller
     bank, the fleet-wide ring sample storage, the pooled noise streams,
-    the persistent signal-table cache and the stacked sensor/signal
-    object arrays — lives here, so repeated runs over the same fleet
-    can reuse one instance (via :meth:`StepEngine.make_state` +
-    :meth:`reset`) instead of reallocating it every run.
+    the persistent signal-table cache, the sensor output-stage
+    constants and the stacked signal object array — lives here, so
+    repeated runs over the same fleet can reuse one instance (via
+    :meth:`StepEngine.make_state` + :meth:`reset`) instead of
+    reallocating it every run.
 
     A state is bound to the engine that built it and to one fixed
     runtime list; :meth:`StepEngine.run` rejects mismatches.  Between
@@ -336,7 +336,6 @@ class EngineState:
         "noise_bank",
         "statics",
         "signal_tables",
-        "sensor_array",
         "signal_array",
         "table_rows",
         "partials_history",
@@ -371,42 +370,34 @@ class EngineState:
                 dtype=engine._np_dtype,
             )
             self.chunks_in_config = np.zeros(self.num_devices, dtype=np.int64)
-        self.noise_bank: Optional[NoiseBank] = None
-        self.statics: Optional[SensorStatics] = None
-        self.signal_tables: Optional[StackedEvaluationCache] = None
-        self.sensor_array: Optional[np.ndarray] = None
-        self.signal_array: Optional[np.ndarray] = None
-        self.table_rows: Optional[np.ndarray] = None
-        if engine.noise == "batched":
-            self.noise_bank = NoiseBank.from_rngs(
-                [runtime.rng for runtime in runtimes]
-            )
-            self.statics = SensorStatics([runtime.sensor for runtime in runtimes])
-            self.signal_tables = StackedEvaluationCache(
-                self.num_devices, dtype=engine._np_dtype
-            )
-            self.sensor_array = np.array(
-                [runtime.sensor for runtime in runtimes], dtype=object
-            )
-            self.signal_array = np.array(
-                [runtime.signal for runtime in runtimes], dtype=object
-            )
-            # Signal-table rows are keyed by signal *identity*: fused
-            # multi-variant campaigns run several virtual devices that
-            # share one physical device's signal object, and mapping
-            # them to one row lets the cache rebuild each bout once and
-            # serve every variant by gathering.  Ordinary fleets have
-            # one signal per device, so the mapping is the identity and
-            # is dropped (``None`` keeps the historical call signature
-            # on the hot path).
-            first_rows: Dict[int, int] = {}
-            table_rows = np.empty(self.num_devices, dtype=np.intp)
-            for index, runtime in enumerate(runtimes):
-                table_rows[index] = first_rows.setdefault(
-                    id(runtime.signal), index
-                )
-            if len(first_rows) < self.num_devices:
-                self.table_rows = table_rows
+        # The acquisition layer: both noise modes share the signal
+        # tables and output-stage constants; only the batched mode
+        # holds a noise pool (per-device noise draws from runtime.rng).
+        self.noise_bank: Optional[NoiseBank] = (
+            NoiseBank.from_rngs([runtime.rng for runtime in runtimes])
+            if engine.noise == "batched"
+            else None
+        )
+        self.statics = SensorStatics([runtime.sensor for runtime in runtimes])
+        self.signal_tables = StackedEvaluationCache(
+            self.num_devices, dtype=engine._np_dtype
+        )
+        self.signal_array = np.array(
+            [runtime.signal for runtime in runtimes], dtype=object
+        )
+        # Signal-table rows are keyed by signal *identity*: fused
+        # multi-variant campaigns run several virtual devices that
+        # share one physical device's signal object, and mapping them
+        # to one row lets the cache rebuild each bout once and serve
+        # every variant by gathering.  Ordinary fleets have one signal
+        # per device, so the mapping is the identity and is dropped.
+        first_rows: Dict[int, int] = {}
+        table_rows = np.empty(self.num_devices, dtype=np.intp)
+        for index, runtime in enumerate(runtimes):
+            table_rows[index] = first_rows.setdefault(id(runtime.signal), index)
+        self.table_rows: Optional[np.ndarray] = (
+            table_rows if len(first_rows) < self.num_devices else None
+        )
         #: Ring-path per-configuration stacked-partials history (the
         #: last ``cached_chunks`` tick reductions); lives on the state
         #: so a segmented run keeps its incremental-feature warm-up.
@@ -467,19 +458,16 @@ class StepEngine:
         Python loop (the pre-bank behaviour).  Both produce
         bit-identical traces.
     noise:
-        Acquisition-layer mode.  ``"per_device"`` (default) draws every
-        device's measurement noise from its own master stream exactly
-        as v1.3.0 did — the bit-compatible reference.  ``"batched"``
-        switches the whole sense path to the vectorized acquisition
-        layer: pooled counter-based noise streams
+        Measurement-noise source.  ``"per_device"`` (default) draws
+        every device's measurement noise from its own master stream
+        exactly as v1.3.0 did — the bit-compatible reference.
+        ``"batched"`` draws it from pooled counter-based noise streams
         (:class:`repro.sensors.noise_bank.NoiseBank`, one Philox stream
-        per device), fleet-wide ring sample storage
-        (:class:`repro.sensors.buffer.RingBufferBank`) and cached
-        clean-signal component tables
-        (:class:`repro.datasets.synthetic.StackedEvaluationCache`).
-        Batched noise *values* differ from the per-device stream (the
-        draws come from a different generator family) but are
-        statistically equivalent, and runs are bit-identical across
+        per device).  Both modes share the rest of the acquisition
+        layer (cached clean-signal component tables and stacked sensor
+        constants).  Batched noise *values* differ from the per-device
+        stream (the draws come from a different generator family) but
+        are statistically equivalent, and runs are bit-identical across
         engines, sensing/controller modes and shard counts within the
         mode.
     dtype:
@@ -821,17 +809,14 @@ class StepEngine:
             summary = None
         raw_stacks = state.raw_stacks
         partials_history = state.partials_history
-        # The batched acquisition layer (pooled noise streams, cached
-        # clean-signal tables, ring sample storage) now lives on the
-        # state so reusable runtimes keep it across runs.
+        # The acquisition layer (noise pool, cached clean-signal
+        # tables, output-stage constants, ring sample storage) lives on
+        # the state so reusable runtimes keep it across runs.
         noise_bank = state.noise_bank
         statics = state.statics
         signal_tables = state.signal_tables
         ring = state.ring
         chunks_in_config = state.chunks_in_config
-        sensor_array = state.sensor_array
-        signal_array = state.signal_array
-        table_rows = state.table_rows
         intensities = (
             np.full(num_devices, np.nan)
             if bank is not None and bank.has_intensity
@@ -858,11 +843,10 @@ class StepEngine:
             noise_bypasses_0 = (
                 noise_bank.pool_bypasses if noise_bank is not None else 0
             )
-            if signal_tables is not None:
-                tables_revalidations_0 = signal_tables.revalidations
-                tables_rebuilds_0 = signal_tables.rebuilds
-                tables_fallbacks_0 = signal_tables.fallbacks
-                tables_shared_0 = signal_tables.shared_hits
+            tables_revalidations_0 = signal_tables.revalidations
+            tables_rebuilds_0 = signal_tables.rebuilds
+            tables_fallbacks_0 = signal_tables.fallbacks
+            tables_shared_0 = signal_tables.shared_hits
             plan_hits_0, plan_misses_0 = plan_cache_stats()
 
         for step_index in range(1, num_steps + 1):
@@ -901,69 +885,24 @@ class StepEngine:
             stacks: Dict[SensorConfig, Tuple[np.ndarray, np.ndarray]] = {}
             if raw_stacks:
                 for config, indices in groups.items():
-                    if noise_bank is not None:
-                        stacks[config] = read_windows_stacked_raw(
-                            sensor_array[indices],
-                            end_time_s=step_end,
-                            duration_s=step_s,
-                            config=config,
-                            noise_bank=noise_bank,
-                            bank_rows=indices,
-                            statics=statics,
-                            tables=signal_tables,
-                            signals=signal_array[indices],
-                            table_rows=(
-                                table_rows[indices]
-                                if table_rows is not None
-                                else None
-                            ),
-                        )
-                    else:
-                        stacks[config] = read_windows_stacked_raw(
-                            [runtimes[i].sensor for i in indices],
-                            end_time_s=step_end,
-                            duration_s=step_s,
-                            config=config,
-                            rngs=[runtimes[i].rng for i in indices],
-                        )
+                    stacks[config] = self._acquire(
+                        state, runtimes, indices, config, step_end
+                    )
             else:
                 acquisitions = [None] * num_devices
                 for config, indices in groups.items():
                     if self._sensing == "stacked":
-                        if noise_bank is not None:
-                            group_rows = np.asarray(indices)
-                            quantised, sample_times = read_windows_stacked_raw(
-                                sensor_array[group_rows],
-                                end_time_s=step_end,
-                                duration_s=step_s,
+                        quantised, sample_times = self._acquire(
+                            state, runtimes, np.asarray(indices), config, step_end
+                        )
+                        windows = [
+                            SensorWindow(
+                                samples=quantised[row],
+                                times_s=sample_times,
                                 config=config,
-                                noise_bank=noise_bank,
-                                bank_rows=group_rows,
-                                statics=statics,
-                                tables=signal_tables,
-                                signals=signal_array[group_rows],
-                                table_rows=(
-                                    table_rows[group_rows]
-                                    if table_rows is not None
-                                    else None
-                                ),
                             )
-                            windows = [
-                                SensorWindow(
-                                    samples=quantised[row],
-                                    times_s=sample_times,
-                                    config=config,
-                                )
-                                for row in range(len(indices))
-                            ]
-                        else:
-                            windows = read_windows_stacked(
-                                [runtimes[i].sensor for i in indices],
-                                end_time_s=step_end,
-                                duration_s=step_s,
-                                config=config,
-                                rngs=[runtimes[i].rng for i in indices],
-                            )
+                            for row in range(len(indices))
+                        ]
                     elif noise_bank is not None:
                         group_rows = np.asarray(indices)
                         stds = statics.noise_stds(config.averaging_window)
@@ -1161,23 +1100,22 @@ class StepEngine:
                     "noise.pool_bypasses",
                     noise_bank.pool_bypasses - noise_bypasses_0,
                 )
-            if signal_tables is not None:
-                mx.count(
-                    "signal_cache.revalidations",
-                    signal_tables.revalidations - tables_revalidations_0,
-                )
-                mx.count(
-                    "signal_cache.rebuilds",
-                    signal_tables.rebuilds - tables_rebuilds_0,
-                )
-                mx.count(
-                    "signal_cache.fallbacks",
-                    signal_tables.fallbacks - tables_fallbacks_0,
-                )
-                mx.count(
-                    "campaign.shared_group_hits",
-                    signal_tables.shared_hits - tables_shared_0,
-                )
+            mx.count(
+                "signal_cache.revalidations",
+                signal_tables.revalidations - tables_revalidations_0,
+            )
+            mx.count(
+                "signal_cache.rebuilds",
+                signal_tables.rebuilds - tables_rebuilds_0,
+            )
+            mx.count(
+                "signal_cache.fallbacks",
+                signal_tables.fallbacks - tables_fallbacks_0,
+            )
+            mx.count(
+                "campaign.shared_group_hits",
+                signal_tables.shared_hits - tables_shared_0,
+            )
             plan_hits_1, plan_misses_1 = plan_cache_stats()
             mx.count("plan_cache.hits", plan_hits_1 - plan_hits_0)
             mx.count("plan_cache.misses", plan_misses_1 - plan_misses_0)
@@ -1192,6 +1130,33 @@ class StepEngine:
         if summary is not None:
             return summary.summaries()
         return [runtime.trace for runtime in runtimes]
+
+    def _acquire(
+        self,
+        state: EngineState,
+        runtimes: Sequence[DeviceRuntime],
+        rows: np.ndarray,
+        config: SensorConfig,
+        end_time_s: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read one configuration group as a stacked acquisition."""
+        noise_bank = state.noise_bank
+        return read_windows_stacked_raw(
+            state.signal_array[rows],
+            end_time_s=end_time_s,
+            duration_s=self._step_s,
+            config=config,
+            rows=rows,
+            statics=state.statics,
+            tables=state.signal_tables,
+            rngs=(
+                [runtimes[i].rng for i in rows] if noise_bank is None else None
+            ),
+            noise_bank=noise_bank,
+            table_rows=(
+                None if state.table_rows is None else state.table_rows[rows]
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Feature extraction internals

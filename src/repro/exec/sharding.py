@@ -763,10 +763,10 @@ class ShardedFleetSimulator:
         profiles = tuple(population)
         if not profiles:
             raise ValueError("population must contain at least one device")
-        duration = resolve_fleet_duration(profiles, duration_s)
+        step_s = float(self._settings["step_s"])
+        duration = resolve_fleet_duration(profiles, duration_s, step_s)
         shards = self.plan(profiles, num_shards)
 
-        step_s = float(self._settings["step_s"])
         num_steps = int(round(duration / step_s))
         round_steps = self._round_steps(num_steps)
         if self._checkpoint_dir is not None:

@@ -91,22 +91,30 @@ class FleetResult:
 
 
 def resolve_fleet_duration(
-    profiles: Sequence[DeviceProfile], duration_s: Optional[float]
+    profiles: Sequence[DeviceProfile],
+    duration_s: Optional[float],
+    step_s: float,
 ) -> float:
     """Validate a requested fleet duration against the device schedules.
 
     Defaults to the shortest schedule in the population so every device
     has signal for the whole run; an explicit duration must not exceed
-    that.
+    that.  Either way the run must cover at least one ``step_s`` tick —
+    a shorter one would simulate nothing.
     """
     shortest = min(profile.duration_s for profile in profiles)
     if duration_s is None:
-        return shortest
+        duration_s = shortest
     check_positive(duration_s, "duration_s")
     if duration_s - shortest > 1e-9:
         raise ValueError(
             f"duration_s={duration_s} exceeds the shortest device schedule "
             f"({shortest} s); regenerate the population with a longer duration"
+        )
+    if step_s - duration_s > 1e-9:
+        raise ValueError(
+            f"duration_s={duration_s} is shorter than one {step_s} s tick; "
+            "nothing would be simulated"
         )
     return float(duration_s)
 
@@ -326,7 +334,9 @@ class FleetSimulator:
             raise ValueError("run needs a population or a runtime")
         if not profiles:
             raise ValueError("population must contain at least one device")
-        duration = resolve_fleet_duration(profiles, duration_s)
+        duration = resolve_fleet_duration(
+            profiles, duration_s, self._engine.step_s
+        )
 
         start = time.perf_counter()
         if runtime is not None:
@@ -370,7 +380,9 @@ class FleetSimulator:
         profiles = tuple(population)
         if not profiles:
             raise ValueError("population must contain at least one device")
-        duration = resolve_fleet_duration(profiles, duration_s)
+        duration = resolve_fleet_duration(
+            profiles, duration_s, self._engine.step_s
+        )
         num_steps = int(round(duration / self._engine.step_s))
 
         start = time.perf_counter()

@@ -80,7 +80,7 @@ def _digitise(noisy, bias, full_scale, lsb):
 def _digitise_inplace(noisy, bias, full_scale, lsb):
     """:func:`_digitise` overwriting its input — same value sequence
     (add bias, clip, divide, round, multiply), zero temporaries.  The
-    batched acquisition path owns its noisy stack outright, so the
+    stacked acquisition path owns its noisy stack outright, so the
     output stage may recycle it."""
     np.add(noisy, bias, out=noisy)
     np.clip(noisy, -full_scale, full_scale, out=noisy)
@@ -343,12 +343,12 @@ class SensorStatics:
     """Per-device output-stage constants of a fleet, as stacked arrays.
 
     A sensor's bias, full-scale range, quantisation step and base noise
-    level never change during a run, yet the stacked acquisition path
-    re-read them through one Python attribute walk per device per tick.
-    Built once per run, this cache turns the output stage of a whole
-    configuration group into pure array slicing; per-window noise
-    standard deviations (``base / sqrt(averaging_window)``) are interned
-    per averaging window on first use.
+    level never change during a run.  Built once per run, this cache
+    turns the output stage of a whole configuration group into pure
+    array slicing instead of one Python attribute walk per device per
+    tick; per-window noise standard deviations (``base /
+    sqrt(averaging_window)``) are interned per averaging window on
+    first use.
 
     Parameters
     ----------
@@ -369,11 +369,28 @@ class SensorStatics:
         rates = np.array([sensor._internal_rate_hz for sensor in sensors])
         #: The fleet's shared internal conversion rate, or ``None`` for
         #: heterogeneous hardware.  A uniform rate means every sensor
-        #: shares one averaging-window span per configuration, so the
-        #: stacked reader can skip the per-device span grouping.
+        #: shares one averaging-window span per configuration, which is
+        #: what lets a configuration group be read as one stack.
         self.uniform_internal_rate_hz: Optional[float] = (
             float(rates[0]) if rates.size and (rates == rates[0]).all() else None
         )
+
+    def averaging_window_duration(self, config: SensorConfig) -> float:
+        """The fleet's shared averaging-window span for ``config``.
+
+        Equal to every sensor's
+        :meth:`SimulatedAccelerometer.averaging_window_duration`; a
+        fleet mixing internal rates has no shared span and is rejected.
+        """
+        rate = self.uniform_internal_rate_hz
+        if rate is None:
+            raise ValueError(
+                "stacked acquisition needs sensors sharing one internal "
+                "conversion rate; read mixed-rate sensors individually "
+                "with SimulatedAccelerometer.read_window"
+            )
+        window = config.averaging_window / rate
+        return float(min(window, 1.0 / config.sampling_hz))
 
     def noise_stds(self, averaging_window: int) -> np.ndarray:
         """Output-sample noise standard deviation per device.
@@ -401,28 +418,46 @@ def read_windows_stacked(
 ) -> List[SensorWindow]:
     """Acquire the same window interval from many sensors in one pass.
 
-    All sensors share the configuration and the time grid, so the fleet
-    engine can compute the sample times once, evaluate every device's
-    clean signal with one stacked trigonometric pass (see
-    :func:`repro.datasets.synthetic.evaluate_realizations_windowed`) and
-    apply bias, clipping and quantisation to the whole ``(devices,
-    samples, 3)`` stack at once.  Per-device noise is still drawn from
-    each device's own generator with exactly the call
+    All sensors share the configuration and the time grid, so the
+    sample times are computed once, every device's clean signal comes
+    from one stacked trigonometric pass and bias, clipping and
+    quantisation apply to the whole ``(devices, samples, 3)`` stack at
+    once.  Per-device noise is still drawn from each device's own
+    generator with exactly the call
     :meth:`SimulatedAccelerometer.read_window` makes, so the returned
     windows are bit-for-bit identical to reading each sensor
-    individually — the property the engine equivalence tests pin down.
+    individually — the property the engine equivalence tests pin
+    down.
+
+    This one-shot spelling builds throwaway :class:`SensorStatics` and
+    signal tables per call; the execution engine holds both across
+    ticks and calls :func:`read_windows_stacked_raw` directly.
 
     Parameters
     ----------
     sensors:
-        The simulated accelerometers to read, one per device.
+        The simulated accelerometers to read, one per device; they must
+        share one internal conversion rate.
     end_time_s, duration_s, config:
         As in :meth:`SimulatedAccelerometer.read_window`.
     rngs:
         One noise generator per sensor (parallel to ``sensors``).
     """
+    from repro.datasets.synthetic import StackedEvaluationCache
+
+    if len(sensors) != len(rngs):
+        raise ValueError(
+            f"sensors and rngs must be parallel, got {len(sensors)} sensors "
+            f"and {len(rngs)} generators"
+        )
     quantised, times = read_windows_stacked_raw(
-        sensors, end_time_s=end_time_s, duration_s=duration_s, config=config,
+        [sensor._signal for sensor in sensors],
+        end_time_s=end_time_s,
+        duration_s=duration_s,
+        config=config,
+        rows=np.arange(len(sensors)),
+        statics=SensorStatics(sensors),
+        tables=StackedEvaluationCache(len(sensors)),
         rngs=rngs,
     )
     return [
@@ -432,186 +467,84 @@ def read_windows_stacked(
 
 
 def read_windows_stacked_raw(
-    sensors: Sequence["SimulatedAccelerometer"],
+    signals: Sequence,
     end_time_s: float,
     duration_s: float,
     config: SensorConfig,
-    rngs: Optional[Sequence[np.random.Generator]] = None,
     *,
+    rows: np.ndarray,
+    statics: SensorStatics,
+    tables,
+    rngs: Optional[Sequence[np.random.Generator]] = None,
     noise_bank=None,
-    bank_rows: Optional[np.ndarray] = None,
-    statics: Optional[SensorStatics] = None,
-    tables=None,
-    signals: Optional[Sequence] = None,
     table_rows: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The raw spelling of :func:`read_windows_stacked`.
+    """Acquire one configuration group as a ``(devices, samples, 3)`` stack.
 
-    Returns the acquired samples as one ``(devices, samples, 3)`` stack
-    plus the shared time grid, without wrapping each device's rows in a
-    :class:`SensorWindow`.  The execution engine's banked path consumes
-    the stack directly (buffers hold row views, feature extraction and
-    intensity switching slice the stack), which removes one validated
-    container object per device per tick from the fleet hot path.  The
-    sample values are exactly those of :func:`read_windows_stacked`.
+    The execution engine's acquisition layer: returns the quantised
+    samples plus the shared time grid, without wrapping each device's
+    rows in a :class:`SensorWindow` (buffers hold row views, feature
+    extraction and intensity switching slice the stack).  The clean
+    signals come from the persistent signal tables ``tables`` (a
+    :class:`repro.datasets.synthetic.StackedEvaluationCache`), the
+    output stage from the :class:`SensorStatics` arrays, both indexed
+    by ``rows`` — the group's device indices.
 
-    Two acquisition spellings share this body:
+    The two noise modes differ only in where the ``(devices, samples,
+    3)`` noise block comes from:
 
-    * ``rngs`` — one private generator per sensor, drawn in a Python
-      loop exactly as :meth:`SimulatedAccelerometer.read_window` would
-      (the ``noise="per_device"`` reference mode);
-    * ``noise_bank`` + ``bank_rows`` — one pooled
+    * ``rngs`` — one private generator per group member, drawn in
+      device order exactly as :meth:`SimulatedAccelerometer.read_window`
+      would (the ``noise="per_device"`` reference mode);
+    * ``noise_bank`` — one pooled
       :class:`repro.sensors.noise_bank.NoiseBank` draw for the whole
-      group (the ``noise="batched"`` mode), optionally with a
-      :class:`SensorStatics` cache replacing the per-device output-stage
-      walk and a
-      :class:`repro.datasets.synthetic.StackedEvaluationCache` reusing
-      the clean-signal component tables across ticks (``signals``
-      optionally hands the cache the group's signal objects directly,
-      sparing one attribute walk per device).
+      group, keyed by ``rows`` (the ``noise="batched"`` mode).
 
     ``table_rows`` optionally splits the signal-table keying from the
-    noise-stream keying: fused multi-variant campaigns run several
-    *virtual* devices per physical device, each with its own noise
-    stream (``bank_rows``) but one shared clean signal — passing the
-    physical row per group member here lets the cache keep one row per
-    physical device and serve duplicated members by gathering.
-    Defaults to ``bank_rows`` (one row per device, the fleet case).
+    device keying: fused multi-variant campaigns run several *virtual*
+    devices per physical device, each with its own noise stream but one
+    shared clean signal — passing the physical row per group member
+    here lets the cache keep one row per physical device and serve
+    duplicated members by gathering.  Defaults to ``rows``.
     """
-    from repro.datasets.synthetic import evaluate_realizations_windowed
-
-    num_devices = len(sensors)
-    if noise_bank is None:
-        if rngs is None or num_devices != len(rngs):
-            raise ValueError(
-                f"sensors and rngs must be parallel, got {num_devices} sensors "
-                f"and {0 if rngs is None else len(rngs)} generators"
-            )
-    elif bank_rows is None or num_devices != len(bank_rows):
+    rows = np.asarray(rows)
+    num_devices = rows.shape[0]
+    if len(signals) != num_devices:
         raise ValueError(
-            f"sensors and bank_rows must be parallel, got {num_devices} "
-            f"sensors and {0 if bank_rows is None else len(bank_rows)} rows"
+            f"signals and rows must be parallel, got {len(signals)} signals "
+            f"and {num_devices} rows"
+        )
+    if (rngs is None) == (noise_bank is None):
+        raise ValueError("pass exactly one noise source: rngs or noise_bank")
+    if rngs is not None and len(rngs) != num_devices:
+        raise ValueError(
+            f"rngs must be parallel to rows, got {len(rngs)} generators "
+            f"for {num_devices} rows"
         )
     times = _sample_times(end_time_s, duration_s, config)
     num_samples = times.shape[0]
-
-    uniform_span = (
-        statics is not None
-        and statics.uniform_internal_rate_hz is not None
-        and num_devices > 0
+    clean = tables.evaluate_signals(
+        signals,
+        rows if table_rows is None else np.asarray(table_rows),
+        times,
+        statics.averaging_window_duration(config),
     )
-    if uniform_span and tables is not None and bank_rows is not None:
-        # Fully cached clean-signal path: every device shares one
-        # averaging-window span, and the signal-table cache revalidates
-        # the whole group against its stored bout intervals with two
-        # array comparisons — no per-device lookups at all.
-        span = sensors[0].averaging_window_duration(config)
-        clean = tables.evaluate_signals(
-            [sensor._signal for sensor in sensors] if signals is None else signals,
-            np.asarray(bank_rows if table_rows is None else table_rows),
-            times,
-            span,
-        )
-    else:
-        clean = np.empty((num_devices, num_samples, 3))
-        # Group devices by averaging-window span (identical for sensors
-        # that share an internal rate — the engine's normal case) and,
-        # within each span, stack the devices whose window falls inside
-        # a single bout.
-        spans: dict
-        if uniform_span:
-            spans = {
-                sensors[0].averaging_window_duration(config): list(
-                    range(num_devices)
-                )
-            }
-        else:
-            spans = {}
-            for index, sensor in enumerate(sensors):
-                spans.setdefault(
-                    sensor.averaging_window_duration(config), []
-                ).append(index)
-        for span, indices in spans.items():
-            stacked_indices: List[int] = []
-            realizations = []
-            for index in indices:
-                signal = sensors[index]._signal
-                spanning = getattr(signal, "realization_spanning", None)
-                realization = spanning(times) if spanning is not None else None
-                if realization is None:
-                    clean[index] = signal.evaluate_windowed(times, span)
-                else:
-                    stacked_indices.append(index)
-                    realizations.append(realization)
-            if stacked_indices:
-                if tables is not None:
-                    keyed_rows = bank_rows if table_rows is None else table_rows
-                    clean[stacked_indices] = tables.evaluate(
-                        realizations,
-                        times,
-                        span,
-                        rows=(
-                            np.asarray(keyed_rows)[stacked_indices]
-                            if keyed_rows is not None
-                            else None
-                        ),
-                    )
-                else:
-                    clean[stacked_indices] = evaluate_realizations_windowed(
-                        realizations, times, span
-                    )
-
+    lane = clean.dtype
+    stds = statics.noise_stds(config.averaging_window)[rows]
     if noise_bank is not None:
-        rows = np.asarray(bank_rows)
-        if statics is not None:
-            stds = statics.noise_stds(config.averaging_window)[rows]
-            biases = statics.biases[rows]
-            full_scales = statics.full_scales[rows][:, None, None]
-            lsbs = statics.lsbs[rows][:, None, None]
-            if clean.dtype == np.float32:
-                # Single-precision lane: casting the output-stage
-                # constants keeps the noise scaling and the digitisation
-                # chain in float32 loops end to end (float64 operands
-                # would silently promote every ufunc pass).
-                stds = stds.astype(np.float32)
-                biases = biases.astype(np.float32)
-                full_scales = full_scales.astype(np.float32)
-                lsbs = lsbs.astype(np.float32)
-        else:
-            stds = np.array(
-                [
-                    sensor._noise.output_noise_std(config.averaging_window)
-                    for sensor in sensors
-                ]
-            )
-            biases = np.array([sensor._bias for sensor in sensors])
-            full_scales = np.array(
-                [sensor._noise.full_scale_ms2 for sensor in sensors]
-            )[:, None, None]
-            lsbs = np.array(
-                [sensor._noise.lsb_ms2 for sensor in sensors]
-            )[:, None, None]
-        np.add(clean, noise_bank.normal(rows, num_samples, stds), out=clean)
-        quantised = _digitise_inplace(
-            clean, biases[:, None, :], full_scales, lsbs
-        )
-        return quantised, times
+        noise = noise_bank.normal(rows, num_samples, stds.astype(lane, copy=False))
     else:
         noise = np.empty_like(clean)
-        biases = np.empty((num_devices, 3))
-        full_scales = np.empty((num_devices, 1, 1))
-        lsbs = np.empty((num_devices, 1, 1))
-        for index, sensor in enumerate(sensors):
-            model = sensor._noise
-            noise[index] = rngs[index].normal(
-                0.0,
-                model.output_noise_std(config.averaging_window),
-                size=(num_samples, 3),
-            )
-            biases[index] = sensor._bias
-            full_scales[index] = model.full_scale_ms2
-            lsbs[index] = model.lsb_ms2
-        noisy = clean + noise
-
-    quantised = _digitise(noisy, biases[:, None, :], full_scales, lsbs)
+        for rng, std, block in zip(rngs, stds, noise):
+            block[...] = rng.normal(0.0, std, size=(num_samples, 3))
+    np.add(clean, noise, out=clean)
+    # Casting the output-stage constants to the lane dtype keeps the
+    # single-precision lane in float32 loops end to end (float64
+    # operands would silently promote every ufunc pass).
+    quantised = _digitise_inplace(
+        clean,
+        statics.biases[rows].astype(lane, copy=False)[:, None, :],
+        statics.full_scales[rows].astype(lane, copy=False)[:, None, None],
+        statics.lsbs[rows].astype(lane, copy=False)[:, None, None],
+    )
     return quantised, times

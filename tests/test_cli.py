@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -10,7 +11,9 @@ import sys
 
 import pytest
 
+from repro.campaign import CampaignRunner, variant_grid
 from repro.cli import EXPERIMENTS, build_parser, main
+from repro.fleet import DevicePopulation, FleetSimulator, ShardedFleetSimulator
 
 
 class TestParser:
@@ -485,6 +488,73 @@ class TestResumeRequiresCheckpoint:
         )
         assert args.resume is True
         assert args.checkpoint == "ckpts"
+
+
+class TestArgumentValidation:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fleet", "--duration", "0.5"], "--duration: must cover at least one"),
+            (["campaign", "--duration", "0.5"], "--duration: must cover at least one"),
+            (["fleet", "--devices", "0"], "--devices: must be at least 1"),
+            (["campaign", "--devices", "-3"], "--devices: must be at least 1"),
+            (["fleet", "--shards", "0"], "--shards: must be at least 1"),
+            (["campaign", "--shards", "0"], "--shards: must be at least 1"),
+            (["fleet", "--round", "0"], "--round: must be a positive finite"),
+            (["campaign", "--round", "nan"], "--round: must be a positive finite"),
+            (["fleet", "--devices", "ten"], "--devices: expected an integer"),
+        ],
+    )
+    def test_bad_values_are_argparse_errors(self, argv, message, capsys):
+        """Bad values exit like any argparse error — code 2 and a
+        one-line message naming the command and flag, no traceback —
+        before any training or simulation starts."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv, out=io.StringIO())
+        assert excinfo.value.code == 2
+        error = capsys.readouterr().err
+        last = error.strip().splitlines()[-1]
+        assert last.startswith(f"adasense-repro {argv[0]}: error: argument ")
+        assert message in last
+        assert "Traceback" not in error
+
+    def test_sub_tick_duration_rejected_by_the_library(self, trained_pipeline):
+        population = DevicePopulation.generate(2, duration_s=5.0, master_seed=1)
+        simulator = FleetSimulator(trained_pipeline)
+        for run in (
+            simulator.run,
+            simulator.run_sequential,
+            ShardedFleetSimulator(trained_pipeline, num_shards=1).run,
+            CampaignRunner(trained_pipeline, variant_grid()).run,
+        ):
+            with pytest.raises(ValueError, match="shorter than one 1.0 s tick"):
+                run(population, duration_s=0.4)
+
+
+class TestGoldenReport:
+    #: SHA-256 of the report below, recorded before the per-device-noise
+    #: lane moved onto the cached acquisition layer; any drift in that
+    #: lane (the CLI default) changes it.
+    GOLDEN_SHA256 = (
+        "f0edd7c8dca32aa6fb6ffb944c9020801730f9d5bcfe168d0b8dabb7a74b1403"
+    )
+
+    def test_default_fleet_report_is_pinned(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        code = main(
+            [
+                "fleet",
+                "--devices", "12",
+                "--duration", "20",
+                "--windows", "6",
+                "--seed", "5",
+                "--out", str(path),
+            ],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.GOLDEN_SHA256
 
 
 class TestCampaignCommand:

@@ -18,13 +18,19 @@ from repro.core.controller import SpotController
 from repro.datasets.scenarios import make_fig5_schedule
 from repro.datasets.synthetic import (
     ScheduledSignal,
+    StackedEvaluationCache,
     SyntheticSignalGenerator,
-    evaluate_realizations_windowed,
 )
 from repro.exec.engine import StepEngine
 from repro.fleet.engine import FleetSimulator, traces_equal
 from repro.fleet.population import DevicePopulation, PopulationSpec
-from repro.sensors.imu import SimulatedAccelerometer, read_windows_stacked
+from repro.sensors.imu import (
+    SensorStatics,
+    SimulatedAccelerometer,
+    read_windows_stacked,
+    read_windows_stacked_raw,
+)
+from repro.sensors.noise_bank import NoiseBank
 from repro.sim.runtime import ClosedLoopSimulator
 
 
@@ -139,30 +145,93 @@ class TestExecutionStrategyEquivalence:
         )
 
 
+#: Per-device schedules of the stacked-sensing tests: static (one
+#: component per axis) and gait (three) bouts side by side in one
+#: group, with bout boundaries both on and between tick edges.
+MIXED_SCHEDULES = (
+    make_fig5_schedule(3.0, 3.0),
+    [("walk", 2.5), ("lie", 3.5)],
+    [("upstairs", 4.2), ("stand", 1.8)],
+)
+
+
 class TestStackedSensing:
     @pytest.mark.parametrize(
         "config_name", ["F100_A128", "F50_A16", "F12.5_A8", "F6.25_A32"]
     )
     def test_read_windows_stacked_matches_read_window(self, config_name):
         """Stacked acquisition is bit-identical to per-device reads for
-        every Table I sampling-rate family, including ticks that span a
-        bout boundary (the per-device fallback path)."""
+        every Table I sampling-rate family, with either noise source.
+        Each group mixes static and gait rows (one trig pass per row
+        width), and some ticks straddle a bout boundary (the per-device
+        fallback)."""
         config = TABLE1_BY_NAME[config_name]
-        schedule = make_fig5_schedule(3.0, 3.0)
-        sensors, rngs_a, rngs_b = [], [], []
-        for seed in range(6):
-            signal = ScheduledSignal(schedule, seed=seed)
-            sensors.append(SimulatedAccelerometer(signal=signal, seed=seed))
-            rngs_a.append(np.random.default_rng(seed + 100))
-            rngs_b.append(np.random.default_rng(seed + 100))
-        for step in range(1, 7):  # step 4 spans the 3 s bout boundary at 100 Hz
-            end = float(step)
-            stacked = read_windows_stacked(sensors, end, 1.0, config, rngs_a)
-            for sensor, rng, window in zip(sensors, rngs_b, stacked):
-                reference = sensor.read_window(end, 1.0, config, rng=rng)
-                np.testing.assert_array_equal(window.samples, reference.samples)
-                np.testing.assert_array_equal(window.times_s, reference.times_s)
-                assert window.config == reference.config
+        sensors = [
+            SimulatedAccelerometer(
+                signal=ScheduledSignal(
+                    MIXED_SCHEDULES[seed % len(MIXED_SCHEDULES)], seed=seed
+                ),
+                seed=seed,
+            )
+            for seed in range(6)
+        ]
+        rows = np.arange(len(sensors))
+        statics = SensorStatics(sensors)
+
+        def streams():
+            return [np.random.default_rng(seed + 100) for seed in rows]
+
+        for noise in ("per_device", "batched"):
+            tables = StackedEvaluationCache(len(sensors))
+            rngs, reference_rngs, one_shot_rngs = streams(), streams(), streams()
+            bank = NoiseBank.from_rngs(rngs)
+            reference_bank = NoiseBank.from_rngs(reference_rngs)
+            source = {"noise_bank": bank} if noise == "batched" else {"rngs": rngs}
+            for step in range(1, 7):
+                end = float(step)
+                stack, times = read_windows_stacked_raw(
+                    [sensor.signal for sensor in sensors], end, 1.0, config,
+                    rows=rows, statics=statics, tables=tables, **source,
+                )
+                if noise == "batched":
+                    block = reference_bank.normal(
+                        rows,
+                        config.samples_in(1.0),
+                        statics.noise_stds(config.averaging_window),
+                    )
+                    references = [
+                        sensor.read_window(end, 1.0, config, noise=block[index])
+                        for index, sensor in enumerate(sensors)
+                    ]
+                else:
+                    references = [
+                        sensor.read_window(end, 1.0, config, rng=rng)
+                        for sensor, rng in zip(sensors, reference_rngs)
+                    ]
+                    # The one-shot public spelling reads the same values.
+                    one_shot = read_windows_stacked(
+                        sensors, end, 1.0, config, one_shot_rngs
+                    )
+                    for window, reference in zip(one_shot, references):
+                        np.testing.assert_array_equal(
+                            window.samples, reference.samples
+                        )
+                for index, reference in enumerate(references):
+                    np.testing.assert_array_equal(stack[index], reference.samples)
+                    np.testing.assert_array_equal(times, reference.times_s)
+            # The groups really held both row widths and straddling rows.
+            assert set(tables._widths[tables._fusable].tolist()) == {1, 3}
+            assert tables.fallbacks > 0
+
+    def test_mixed_internal_rates_rejected(self):
+        signal = ScheduledSignal(make_fig5_schedule(2.0, 2.0), seed=0)
+        sensors = [
+            SimulatedAccelerometer(signal=signal, internal_rate_hz=rate, seed=0)
+            for rate in (1600.0, 800.0)
+        ]
+        rngs = [np.random.default_rng(seed) for seed in range(2)]
+        with pytest.raises(ValueError, match="internal conversion rate"):
+            read_windows_stacked(sensors, 1.0, 1.0, HIGH_POWER_CONFIG, rngs)
 
     def test_mismatched_rngs_rejected(self):
         signal = ScheduledSignal(make_fig5_schedule(2.0, 2.0), seed=0)
@@ -170,19 +239,25 @@ class TestStackedSensing:
         with pytest.raises(ValueError):
             read_windows_stacked([sensor], 1.0, 1.0, HIGH_POWER_CONFIG, [])
 
-    def test_evaluate_realizations_windowed_matches_loop(self):
+    def test_signal_tables_match_per_realization_loop(self):
         generator = SyntheticSignalGenerator(seed=5)
-        realizations = [
-            generator.realize(activity)
-            for activity in ("walk", "sit", "downstairs", "lie", "upstairs", "stand")
+        signals = [
+            ScheduledSignal([(activity, 10.0)], generator=generator, seed=index)
+            for index, activity in enumerate(
+                ("walk", "sit", "downstairs", "lie", "upstairs", "stand")
+            )
         ]
+        realizations = [signal.segments[0].realization for signal in signals]
+        tables = StackedEvaluationCache(len(signals))
         times = np.linspace(0.2, 2.0, 37)
         for window_s in (0.0, 0.02, 0.08):
-            stacked = evaluate_realizations_windowed(realizations, times, window_s)
-            for index, realization in enumerate(realizations):
-                np.testing.assert_array_equal(
-                    stacked[index], realization.evaluate_windowed(times, window_s)
-                )
+            stacked = tables.evaluate_signals(
+                signals, np.arange(len(signals)), times, window_s
+            )
+            expected = np.stack(
+                [r.evaluate_windowed(times, window_s) for r in realizations]
+            )
+            np.testing.assert_array_equal(stacked, expected)
 
 
 class TestScheduledSignalHelpers:
@@ -192,16 +267,16 @@ class TestScheduledSignalHelpers:
         vectorised = signal.activities_at(times)
         assert vectorised == [signal.activity_at(float(t)) for t in times]
 
-    def test_realization_spanning_single_bout(self):
+    def test_spanning_segment_single_bout(self):
         signal = ScheduledSignal(make_fig5_schedule(5.0, 5.0), seed=4)
         inside = np.linspace(1.0, 2.0, 10)
-        realization = signal.realization_spanning(inside)
-        assert realization is signal.segments[0].realization
+        segment = signal.spanning_segment(inside)
+        assert segment.realization is signal.segments[0].realization
 
-    def test_realization_spanning_across_boundary_is_none(self):
+    def test_spanning_segment_across_boundary_is_none(self):
         signal = ScheduledSignal(make_fig5_schedule(5.0, 5.0), seed=4)
         straddling = np.linspace(4.5, 5.5, 10)
-        assert signal.realization_spanning(straddling) is None
+        assert signal.spanning_segment(straddling) is None
 
 
 class TestClosedLoopFacade:

@@ -24,9 +24,9 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import (
+    ScheduledSignal,
     StackedEvaluationCache,
     default_activity_profiles,
-    evaluate_realizations_windowed,
 )
 from repro.exec.engine import NOISE_MODES, StepEngine
 from repro.fleet import (
@@ -191,51 +191,83 @@ class TestStatisticalEquivalence:
         assert abs(ref_current - new_current) / ref_current < 0.15
 
 
-class TestSignalTableCache:
-    def test_cache_matches_one_shot_evaluator(self, rng):
-        profiles = list(default_activity_profiles().values())
-        realizations = [
-            profiles[rng.integers(len(profiles))].realize(rng)
-            for _ in range(25)
+def _single_bout_signals(rng, count):
+    """Signals of one long bout each, over randomly drawn activities."""
+    activities = list(default_activity_profiles())
+    return [
+        ScheduledSignal(
+            [(activities[rng.integers(len(activities))], 10.0)],
+            seed=int(rng.integers(10_000)),
+        )
+        for _ in range(count)
+    ]
+
+
+def _bout_reference(signals, times, window):
+    """Independent oracle: every bout realisation evaluated on its own."""
+    return np.stack(
+        [
+            signal.segments[0].realization.evaluate_windowed(times, window)
+            for signal in signals
         ]
+    )
+
+
+class TestSignalTableCache:
+    def test_cache_matches_per_realization_evaluation(self, rng):
+        signals = _single_bout_signals(rng, 25)
         times = np.sort(rng.uniform(0.0, 4.0, size=33))
         cache = StackedEvaluationCache(40)
         rows = np.arange(25) + 3
         for window in (0.0, 0.0125, 0.08):
-            expected = evaluate_realizations_windowed(
-                realizations, times, window
-            )
+            expected = _bout_reference(signals, times, window)
             np.testing.assert_array_equal(
-                cache.evaluate(realizations, times, window, rows=rows),
-                expected,
+                cache.evaluate_signals(signals, rows, times, window), expected
             )
             # Second call hits the cached rows — still bit-identical.
             np.testing.assert_array_equal(
-                cache.evaluate(realizations, times, window, rows=rows),
-                expected,
+                cache.evaluate_signals(signals, rows, times, window), expected
             )
+        assert cache.rebuilds == 25
+        assert cache.revalidations == 25 * 5
 
     def test_cache_survives_membership_churn(self, rng):
-        profiles = list(default_activity_profiles().values())
-        realizations = [
-            profiles[rng.integers(len(profiles))].realize(rng)
-            for _ in range(20)
-        ]
+        signals = _single_bout_signals(rng, 20)
         times = np.linspace(0.1, 1.0, 17)
         cache = StackedEvaluationCache(20)
-        full_rows = np.arange(20)
-        cache.evaluate(realizations, times, 0.01, rows=full_rows)
-        subset = np.array([1, 4, 9, 15])
-        swapped = [realizations[i] for i in subset]
-        swapped[2] = profiles[0].realize(rng)
+        cache.evaluate_signals(signals, np.arange(20), times, 0.01)
+        subset = np.array([15, 1, 9, 4])
+        members = [signals[i] for i in subset]
         np.testing.assert_array_equal(
-            cache.evaluate(swapped, times, 0.01, rows=subset),
-            evaluate_realizations_windowed(swapped, times, 0.01),
+            cache.evaluate_signals(members, subset, times, 0.01),
+            _bout_reference(members, times, 0.01),
+        )
+        # A device first seen after the cache was built grows it.
+        grown = [signals[0], signals[2], signals[1]]
+        np.testing.assert_array_equal(
+            cache.evaluate_signals(grown, np.array([30, 2, 31]), times, 0.01),
+            _bout_reference(grown, times, 0.01),
+        )
+
+    def test_scratch_is_not_pickled(self, rng):
+        import pickle
+
+        signals = _single_bout_signals(rng, 12)
+        cache = StackedEvaluationCache(12)
+        times = np.linspace(0.1, 1.0, 50)
+        expected = cache.evaluate_signals(signals, np.arange(12), times, 0.01)
+        scratch_bytes = cache._scratch.nbytes
+        assert scratch_bytes > 0
+        payload = pickle.dumps(cache)
+        assert len(payload) < len(pickle.dumps(vars(cache))) - scratch_bytes // 2
+        restored = pickle.loads(payload)
+        assert restored._scratch.size == 0
+        np.testing.assert_array_equal(
+            restored.evaluate_signals(signals, np.arange(12), times, 0.01),
+            expected,
         )
 
     def test_signal_spelling_matches_realization_spelling(self, rng):
-        from repro.datasets.synthetic import ScheduledSignal
-
         signals = [
             ScheduledSignal(
                 [("walk", 3.0), ("sit", 3.0), ("downstairs", 3.0)],

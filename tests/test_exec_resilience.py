@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import pytest
@@ -527,6 +528,36 @@ class TestSegmentedRuns:
                 start_step=done,
             )
             done += segment
+        for left, right in zip(traces, reference.traces):
+            assert traces_equal(left, right)
+
+    @pytest.mark.parametrize("noise", ["per_device", "batched"])
+    def test_pickled_state_continues_bit_identically(
+        self, trained_pipeline, population, noise
+    ):
+        """A checkpoint payload round trip mid-run changes nothing, and
+        the signal tables' trig scratch stays out of the payload."""
+        simulator = FleetSimulator(trained_pipeline, noise=noise)
+        reference = simulator.run(population, duration_s=12.0)
+        runtime = simulator.build_runtime(population)
+        runtime.begin_run()
+        simulator.engine.run(runtime.runtimes, 6, state=runtime.state)
+        tables = runtime.state.signal_tables
+        scratch_bytes = tables._scratch.nbytes
+        assert scratch_bytes > 0
+        payload = pickle.dumps(
+            {"runtimes": runtime.runtimes, "engine_state": runtime.state}
+        )
+        assert len(pickle.dumps(tables)) < (
+            len(pickle.dumps(vars(tables))) - scratch_bytes // 2
+        )
+        restored = pickle.loads(payload)
+        state = restored["engine_state"]
+        assert state.signal_tables._scratch.size == 0
+        # Like a resumed shard, continue on the unpickled engine.
+        traces = state.engine.run(
+            restored["runtimes"], 6, state=state, start_step=6
+        )
         for left, right in zip(traces, reference.traces):
             assert traces_equal(left, right)
 

@@ -138,6 +138,21 @@ class TestCounters:
         assert cohorts.count == snapshot.counters["engine.config_groups"]
         assert 1.0 <= cohorts.low and cohorts.high <= NUM_DEVICES
 
+    def test_per_device_noise_runs_use_the_signal_cache(
+        self, trained_pipeline, population
+    ):
+        # Both noise modes share one cached acquisition layer: the
+        # default per-device-noise run serves its clean signals from
+        # the signal tables too, and only the noise pool stays idle.
+        registry = MetricsRegistry()
+        FleetSimulator(trained_pipeline, metrics=registry).run(population)
+        rebuilds = registry.counter_value("signal_cache.rebuilds")
+        revalidations = registry.counter_value("signal_cache.revalidations")
+        assert rebuilds >= NUM_DEVICES
+        assert revalidations > 0.0
+        assert rebuilds + revalidations <= NUM_DEVICES * NUM_STEPS
+        assert registry.counter_value("noise.refills") == 0.0
+
     def test_exact_mode_counts_only_exact_windows(
         self, trained_pipeline, population
     ):
