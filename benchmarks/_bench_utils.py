@@ -24,37 +24,40 @@ from repro.experiments.common import Scale
 #: Seed shared by every benchmark so printed tables are reproducible.
 BENCH_SEED = 2020
 
-#: The execution recipes of successive PRs, by bench name.  Each maps
+#: The named execution recipes of the benchmarks.  Each maps
 #: to ``FleetSimulator`` keyword arguments plus the trace mode
-#: (``sequential`` shares the PR 1 engine settings but runs the
-#: per-device reference loop).
+#: (``sequential`` runs the independent per-device reference loop of
+#: ``repro.sim.reference`` with these feature and noise settings).
+#: Every fleet recipe runs the engine's one execution path (stacked
+#: acquisition, sample ring, controller bank); ``controllers=
+#: "per_object"`` leaves every controller loose in the bank.
 RECIPES: Dict[str, Dict[str, str]] = {
     "sequential": dict(
-        features="exact", sensing="per_device", controllers="per_object",
+        features="exact", controllers="per_object",
         noise="per_device", trace="full",
     ),
     "batched": dict(
-        features="exact", sensing="per_device", controllers="per_object",
+        features="exact", controllers="per_object",
         noise="per_device", trace="full",
     ),
     "incremental": dict(
-        features="incremental", sensing="stacked", controllers="per_object",
+        features="incremental", controllers="per_object",
         noise="per_device", trace="full",
     ),
     "controller_bank": dict(
-        features="incremental", sensing="stacked", controllers="bank",
+        features="incremental", controllers="bank",
         noise="per_device", trace="summary",
     ),
     "batched_noise": dict(
-        features="incremental", sensing="stacked", controllers="bank",
+        features="incremental", controllers="bank",
         noise="batched", trace="summary",
     ),
     "float32": dict(
-        features="incremental", sensing="stacked", controllers="bank",
+        features="incremental", controllers="bank",
         noise="batched", dtype="float32", trace="summary",
     ),
     "campaign": dict(
-        features="incremental", sensing="stacked", controllers="bank",
+        features="incremental", controllers="bank",
         noise="batched", trace="summary", campaign_variants="16",
     ),
 }

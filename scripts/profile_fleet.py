@@ -60,8 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="training windows per activity per configuration")
     parser.add_argument("--features", choices=("incremental", "exact"),
                         default="incremental")
-    parser.add_argument("--sensing", choices=("stacked", "per_device"),
-                        default="stacked")
     parser.add_argument("--controllers", choices=("bank", "per_object"),
                         default="bank")
     parser.add_argument("--noise", choices=("per_device", "batched"),
@@ -228,7 +226,6 @@ def main(argv=None) -> int:
     simulator = FleetSimulator(
         system.pipeline,
         features=args.features,
-        sensing=args.sensing,
         controllers=args.controllers,
         noise=args.noise,
         dtype=args.dtype,
@@ -252,7 +249,6 @@ def main(argv=None) -> int:
             "devices": args.devices,
             "duration_s": args.duration,
             "features": args.features,
-            "sensing": args.sensing,
             "controllers": args.controllers,
             "noise": args.noise,
             "dtype": args.dtype,

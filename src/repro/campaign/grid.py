@@ -32,7 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.fleet.population import ControllerSpec, DeviceProfile
+from repro.core.config import intern_config_table
+from repro.fleet.population import CONTROLLER_KINDS, ControllerSpec, DeviceProfile
+from repro.utils.validation import check_probability
 
 #: ControllerSpec fields a campaign variant may override.
 OVERRIDABLE_FIELDS: Tuple[str, ...] = (
@@ -194,6 +196,32 @@ def _format_axis_value(value: object) -> str:
     return str(value)
 
 
+def check_axis_value(field_name: str, value):
+    """Validate one grid value of a :class:`ControllerSpec` field.
+
+    Returns the value normalised the way :func:`variant_grid` stores
+    it; raises :class:`ValueError` for a value no device could run.
+    """
+    if field_name == "kind":
+        if value not in CONTROLLER_KINDS:
+            raise ValueError(
+                f"controller kind must be one of {CONTROLLER_KINDS}, got {value!r}"
+            )
+        return str(value)
+    if field_name == "stability_threshold":
+        if int(value) != value or value < 0:
+            raise ValueError(
+                "stability threshold must be a non-negative integer, "
+                f"got {value!r}"
+            )
+        return int(value)
+    if field_name == "confidence_threshold":
+        return check_probability(value, "confidence threshold")
+    table = tuple(str(name) for name in value)
+    intern_config_table(table)
+    return table
+
+
 def variant_grid(
     stability_thresholds: Optional[Sequence[int]] = None,
     confidence_thresholds: Optional[Sequence[float]] = None,
@@ -205,27 +233,25 @@ def variant_grid(
     Every axis is optional; omitted axes keep each device's generated
     value.  With no axes at all the grid is the single ``baseline``
     variant.  Variant names encode the grid point, e.g.
-    ``"kind=spot|t=10|table=F100_A128+F12.5_A8"``.
+    ``"kind=spot|t=10|table=F100_A128+F12.5_A8"``.  Every value is
+    validated here, so a bad grid fails when it is built — even when
+    no device of a later population would read that axis.
     """
     axes: List[Tuple[str, str, List[object]]] = []
-    if controller_kinds is not None:
-        axes.append(("kind", "kind", [str(kind) for kind in controller_kinds]))
-    if stability_thresholds is not None:
-        axes.append(
-            ("stability_threshold", "t", [int(t) for t in stability_thresholds])
-        )
-    if confidence_thresholds is not None:
-        axes.append(
-            ("confidence_threshold", "c", [float(c) for c in confidence_thresholds])
-        )
-    if config_tables is not None:
-        axes.append(
-            (
-                "config_table",
-                "table",
-                [tuple(str(name) for name in table) for table in config_tables],
+    for field_name, tag, values in (
+        ("kind", "kind", controller_kinds),
+        ("stability_threshold", "t", stability_thresholds),
+        ("confidence_threshold", "c", confidence_thresholds),
+        ("config_table", "table", config_tables),
+    ):
+        if values is not None:
+            axes.append(
+                (
+                    field_name,
+                    tag,
+                    [check_axis_value(field_name, value) for value in values],
+                )
             )
-        )
     for field_name, _, values in axes:
         if not values:
             raise ValueError(f"axis {field_name!r} must not be empty")

@@ -218,7 +218,7 @@ class CampaignRunner:
         The trained HAR pipeline shared by every variant.
     variants:
         The grid points (see :func:`repro.campaign.grid.variant_grid`).
-    internal_rate_hz, step_s, window_duration_s, features, sensing, controllers, noise, dtype:
+    internal_rate_hz, step_s, window_duration_s, features, controllers, noise, dtype:
         Engine settings, as in :class:`repro.fleet.engine.FleetSimulator`.
         Campaigns default to the batched acquisition layer
         (``noise="batched"``) — that is the lane whose signal tables
@@ -253,7 +253,6 @@ class CampaignRunner:
         step_s: float = 1.0,
         window_duration_s: float = WINDOW_DURATION_S,
         features: str = "incremental",
-        sensing: str = "stacked",
         controllers: str = "bank",
         noise: str = "batched",
         dtype: str = "float64",
@@ -282,7 +281,6 @@ class CampaignRunner:
             "step_s": step_s,
             "window_duration_s": window_duration_s,
             "features": features,
-            "sensing": sensing,
             "controllers": controllers,
             "noise": noise,
             "dtype": dtype,

@@ -132,17 +132,27 @@ _CONTROLLERS = ("static", "spot", "spot_confidence")
 _TICK_S = 1.0
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer, got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type: an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_non_negative_int = _int_at_least(0)
 
 
 def _positive_float(text: str) -> float:
@@ -158,6 +168,39 @@ def _positive_float(text: str) -> float:
             f"must be a positive finite number, got {text}"
         )
     return value
+
+
+def _grid_axis(field_name: str, convert: Callable) -> Callable[[str], str]:
+    """argparse type for a comma-separated campaign grid axis.
+
+    Every item is converted and checked with the grid's own validator
+    (:func:`repro.campaign.grid.check_axis_value`), so a bad value
+    fails at parse time instead of after training.  The text itself is
+    returned unchanged: callers split it themselves.
+    """
+
+    def parse(text: str) -> str:
+        from repro.campaign.grid import check_axis_value
+
+        items = [part for part in text.split(",") if part]
+        if not items:
+            raise argparse.ArgumentTypeError(
+                f"expected a comma-separated list, got {text!r}"
+            )
+        for item in items:
+            try:
+                value = convert(item)
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"cannot parse {item!r}"
+                ) from None
+            try:
+                check_axis_value(field_name, value)
+            except ValueError as error:
+                raise argparse.ArgumentTypeError(str(error)) from None
+        return text
+
+    return parse
 
 
 def _fleet_duration(text: str) -> float:
@@ -249,8 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
                               help="write the full JSON telemetry report here")
     fleet_parser.add_argument(
         "--engine", choices=("batched", "sequential", "sharded"), default="batched",
-        help="batched lock-step fleet engine (default), the per-device "
-             "sequential reference loop, or the process-sharded engine",
+        help="batched lock-step fleet engine (default), the independent "
+             "per-device reference loop (sim/reference.py; full traces, "
+             "bit-identical reports in float64), or the process-sharded "
+             "engine",
     )
     fleet_parser.add_argument(
         "--features", choices=("incremental", "exact"), default="incremental",
@@ -262,13 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for --engine sharded (default: CPU count)",
     )
     fleet_parser.add_argument(
-        "--max-retries", type=int, default=2, dest="max_retries",
+        "--max-retries", type=_non_negative_int, default=2, dest="max_retries",
         help="worker re-attempts per shard before the run fails "
              "(--engine sharded; default: 2, plus one inline last-resort "
              "attempt)",
     )
     fleet_parser.add_argument(
-        "--shard-timeout", type=float, default=None, dest="shard_timeout",
+        "--shard-timeout", type=_positive_float, default=None,
+        dest="shard_timeout",
         metavar="SECONDS",
         help="wall-clock budget per shard attempt; hung workers are "
              "terminated and retried (--engine sharded; default: no "
@@ -294,15 +340,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_parser.add_argument(
         "--controllers", choices=("bank", "per_object"), default="bank",
-        help="advance adaptive controllers with the vectorized "
-             "array-of-states bank (default) or one object at a time",
+        help="bank (default): advance the built-in controller families "
+             "with one vectorized array-of-states pass; per_object: leave "
+             "every controller loose, each advanced by its own update() "
+             "on the same execution path (bit-identical traces)",
     )
     fleet_parser.add_argument(
         "--noise", choices=("per_device", "batched"), default="per_device",
-        help="acquisition layer: per-device generator draws (default, "
-             "bit-exact v1.3.0 reference) or the batched layer (pooled "
-             "counter-based noise streams, ring sample storage, cached "
-             "signal tables; statistically equivalent and shard-invariant)",
+        help="measurement-noise source: each device's own generator "
+             "(default, bit-exact v1.3.0 reference) or pooled counter-based "
+             "per-device noise streams (statistically equivalent and "
+             "shard-invariant); both read the same ring storage and cached "
+             "signal tables",
     )
     fleet_parser.add_argument(
         "--dtype", choices=("float64", "float32"), default="float64",
@@ -348,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(--engine sharded)",
     )
     fleet_parser.add_argument(
-        "--heartbeat", type=float, default=None, dest="heartbeat_s",
+        "--heartbeat", type=_positive_float, default=None, dest="heartbeat_s",
         metavar="SECONDS",
         help="simulated seconds between shard heartbeats (--engine "
              f"sharded; default: {DEFAULT_HEARTBEAT_S:g} when live "
@@ -363,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_parser.add_argument("--model", default=None,
                               help="JSON model saved by 'train' (otherwise trains a fresh one)")
-    fleet_parser.add_argument("--windows", type=int, default=40,
+    fleet_parser.add_argument("--windows", type=_positive_int, default=40,
                               help="training windows per activity per configuration "
                                    "when no saved model is given")
     fleet_parser.add_argument("--seed", type=int, default=2020,
@@ -383,19 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
                                  help="simulated seconds per device (default: 600)")
     campaign_parser.add_argument(
         "--thresholds", default=None, metavar="T1,T2,...",
+        type=_grid_axis("stability_threshold", int),
         help="SPOT stability thresholds to grid (comma-separated seconds)",
     )
     campaign_parser.add_argument(
         "--confidences", default=None, metavar="C1,C2,...",
+        type=_grid_axis("confidence_threshold", float),
         help="confidence cutoffs to grid (comma-separated probabilities)",
     )
     campaign_parser.add_argument(
         "--kinds", default=None, metavar="K1,K2,...",
+        type=_grid_axis("kind", str),
         help="controller kinds to force fleet-wide "
              "(comma-separated, e.g. spot,spot_confidence)",
     )
     campaign_parser.add_argument(
         "--tables", default=None, metavar="N1+N2,...",
+        type=_grid_axis("config_table", lambda table: table.split("+")),
         help="SPOT config tables to grid: comma-separated tables, each a "
              "'+'-joined list of config names, e.g. "
              "F100_A128+F50_A16+F12.5_A8",
@@ -460,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
              "(forces the supervised sharded path)",
     )
     campaign_parser.add_argument(
-        "--heartbeat", type=float, default=None, dest="heartbeat_s",
+        "--heartbeat", type=_positive_float, default=None, dest="heartbeat_s",
         metavar="SECONDS",
         help="simulated seconds between shard heartbeats (default: "
              f"{DEFAULT_HEARTBEAT_S:g} when live telemetry is enabled)",
@@ -473,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument("--model", default=None,
                                  help="JSON model saved by 'train' "
                                       "(otherwise trains a fresh one)")
-    campaign_parser.add_argument("--windows", type=int, default=40,
+    campaign_parser.add_argument("--windows", type=_positive_int, default=40,
                                  help="training windows per activity per "
                                       "configuration when no saved model is given")
     campaign_parser.add_argument("--seed", type=int, default=2020,
@@ -743,11 +796,7 @@ def _command_campaign(args: argparse.Namespace, out) -> int:
         stability_thresholds=_split_csv(args.thresholds, int),
         confidence_thresholds=_split_csv(args.confidences, float),
         controller_kinds=_split_csv(args.kinds, str),
-        config_tables=(
-            None
-            if args.tables is None
-            else [tuple(table.split("+")) for table in args.tables.split(",")]
-        ),
+        config_tables=_split_csv(args.tables, lambda table: table.split("+")),
     )
     registry = MetricsRegistry() if args.metrics is not None else None
     monitor = _monitor_from_args(args)

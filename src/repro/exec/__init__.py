@@ -19,7 +19,6 @@ from repro.exec.engine import (
     DTYPE_MODES,
     FEATURE_MODES,
     NOISE_MODES,
-    SENSING_MODES,
     TRACE_MODES,
     DeviceRuntime,
     EngineState,
@@ -42,7 +41,6 @@ __all__ = [
     "DTYPE_MODES",
     "FEATURE_MODES",
     "NOISE_MODES",
-    "SENSING_MODES",
     "TRACE_MODES",
     "ConfigTable",
     "ControllerBank",

@@ -324,6 +324,11 @@ class ControllerBank:
         sub-banks; anything else — including subclasses, whose
         overridden behaviour the bank cannot replicate — is reported in
         :attr:`loose_indices` for the engine to keep driving per object.
+    vectorize:
+        ``False`` leaves every controller loose (the engine's
+        ``controllers="per_object"`` mode): the bank then only interns
+        configurations and groups devices, and every controller runs
+        its own ``update``.
     """
 
     #: Controller families the bank can vectorise (exact types only).
@@ -334,7 +339,7 @@ class ControllerBank:
         IntensityController,
     )
 
-    def __init__(self, controllers: Sequence) -> None:
+    def __init__(self, controllers: Sequence, vectorize: bool = True) -> None:
         self._num_devices = len(controllers)
         self._table = ConfigTable()
 
@@ -345,6 +350,8 @@ class ControllerBank:
             if kind in (SpotController, SpotWithConfidenceController):
                 kind = SpotController
             elif kind not in (StaticController, IntensityController):
+                kind = None
+            if kind is None or not vectorize:
                 loose.append(index)
                 continue
             indices, members = grouped.setdefault(kind, ([], []))

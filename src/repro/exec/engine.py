@@ -1,38 +1,33 @@
 """The shared execution core: one per-tick protocol for every simulator.
 
-Before this module existed the repository carried two parallel
-implementations of the sense → classify → adapt loop — the single-device
-:class:`repro.sim.runtime.ClosedLoopSimulator` and the fleet-scale
-:class:`repro.fleet.engine.FleetSimulator` — each replicating the
-other's random-draw order by hand.  :class:`StepEngine` collapses them:
-both simulators are now thin facades that build
-:class:`DeviceRuntime` states and hand them to one engine.
+:class:`StepEngine` advances a set of :class:`DeviceRuntime` states in
+lock step; the single-device
+:class:`repro.sim.runtime.ClosedLoopSimulator`, the fleet-scale
+:class:`repro.fleet.engine.FleetSimulator`, the sharded and campaign
+runners are thin facades over it.  There is one execution path.  Per
+simulated tick the engine performs, for every device:
 
-Per simulated tick the engine performs, for every device:
-
-1. **Sense** — acquire one step of samples under the controller's
-   active configuration.  Devices sharing a configuration are read with
-   one stacked pass (:func:`repro.sensors.imu.read_windows_stacked_raw`):
-   clean signals come from persistent per-device component tables
+1. **Sense** — group the devices by active configuration (read from
+   the controller bank) and acquire each group with one stacked pass
+   (:func:`repro.sensors.imu.read_windows_stacked_raw`): clean signals
+   come from persistent per-device component tables
    (:class:`repro.datasets.synthetic.StackedEvaluationCache`) and the
    sensor output stage from stacked
    :class:`repro.sensors.imu.SensorStatics` arrays.  The noise modes
    differ only in the noise block: ``noise="per_device"`` draws from
-   every device's own stream, bit-identical to per-device acquisition;
+   every device's own stream, bit-identical to a per-device
+   :meth:`~repro.sensors.imu.SimulatedAccelerometer.read_window`;
    ``noise="batched"`` takes pooled per-device Philox streams
    (:class:`repro.sensors.noise_bank.NoiseBank`) — statistically
    equivalent noise, bit-identical across engines and shard counts
    within the mode.
-2. **Buffer** — push the acquisition into the device's classification
-   buffer (flushing on configuration change) and feed the controller's
-   optional ``observe_window`` hook.  On the raw-stack path the
-   buffers are rows of one fleet-wide ring
-   (:class:`repro.sensors.buffer.RingBufferBank`): a configuration
-   group is buffered with one scatter and window readiness is one
-   array comparison.
+2. **Buffer** — scatter each group into its rows of one fleet-wide
+   sample ring (:class:`repro.sensors.buffer.RingBufferBank`, which
+   flushes a row on configuration change) and feed loose controllers'
+   optional ``observe_window`` hook.
 3. **Extract** — turn buffered windows into feature vectors.  The
-   default ``features="incremental"`` path caches each second's partial
-   sums and low-frequency DFT coefficients
+   default ``features="incremental"`` path keeps each configuration's
+   last per-second chunk reductions
    (:class:`repro.core.features.IncrementalFeatureExtractor`) so an
    overlapping window costs one new-chunk reduction plus a cheap
    combine; warm-up windows, configuration switches and misaligned
@@ -41,11 +36,10 @@ Per simulated tick the engine performs, for every device:
 4. **Classify** — one batched classifier call for the whole device set
    (batch-size invariant, so results do not depend on fleet
    composition).
-5. **Adapt & record** — advance the controllers and record the step.
-   With ``controllers="bank"`` (the default) every supported controller
-   family is advanced by **one vectorized array-of-states pass**
-   (:class:`repro.exec.controller_bank.ControllerBank`); unsupported
-   custom controllers transparently stay on the per-object path.  With
+5. **Adapt & record** — advance the controllers through the
+   :class:`repro.exec.controller_bank.ControllerBank`: supported
+   controller families in one vectorized array-of-states pass, any
+   other ("loose") controller through its own ``update``.  With
    ``trace="full"`` the step is appended to a
    :class:`repro.sim.trace.StepRecord` trace; with ``trace="summary"``
    it is folded into O(devices) running telemetry accumulators
@@ -53,10 +47,12 @@ Per simulated tick the engine performs, for every device:
    ever stored.
 
 Determinism contract: for a fixed set of runtimes the engine produces
-the same traces regardless of ``sensing`` mode, feature batching,
-controller banking, or how devices are grouped — which is what makes
-process sharding (:mod:`repro.exec.sharding`) a pure partitioning
-concern and ``trace="summary"`` a pure memory optimisation.
+the same traces regardless of controller banking or how devices are
+grouped — which is what makes process sharding
+(:mod:`repro.exec.sharding`) a pure partitioning concern and
+``trace="summary"`` a pure memory optimisation.  In float64 every
+trace is bit-identical to the independent single-device loop of
+:mod:`repro.sim.reference`, which shares no code with this package.
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ from repro.core.activities import Activity
 from repro.core.config import SensorConfig
 from repro.core.features import (
     WINDOW_DURATION_S,
-    ChunkPartials,
     IncrementalFeatureExtractor,
     WindowGeometry,
     plan_cache_stats,
@@ -81,7 +76,7 @@ from repro.datasets.synthetic import ScheduledSignal, StackedEvaluationCache
 from repro.exec.controller_bank import ControllerBank
 from repro.energy.accelerometer import AccelerometerPowerModel
 from repro.obs.metrics import NULL_RECORDER
-from repro.sensors.buffer import RingBufferBank, SampleBuffer
+from repro.sensors.buffer import RingBufferBank
 from repro.sensors.imu import (
     DEFAULT_INTERNAL_RATE_HZ,
     NoiseModel,
@@ -97,9 +92,6 @@ from repro.utils.validation import check_positive
 
 #: Feature-extraction modes the engine supports.
 FEATURE_MODES: Tuple[str, ...] = ("incremental", "exact")
-
-#: Acquisition modes the engine supports.
-SENSING_MODES: Tuple[str, ...] = ("stacked", "per_device")
 
 #: Controller-advance modes the engine supports.
 CONTROLLER_MODES: Tuple[str, ...] = ("bank", "per_object")
@@ -120,22 +112,20 @@ class DeviceRuntime:
     Construction replicates the random-draw order the original
     single-device loop established: one stream per device seeds first
     the signal realisation (when built from a profile), then the sensor
-    bias, then every per-step noise draw.
+    bias, then every per-step noise draw.  Sample buffers, feature
+    partials and controller state arrays live on the
+    :class:`EngineState`, not here.
     """
 
     __slots__ = (
         "signal",
         "sensor",
-        "buffer",
         "controller",
         "observe",
         "power_model",
         "rng",
         "trace",
         "active_config",
-        "partials",
-        "chunks_in_config",
-        "previous_config",
     )
 
     def __init__(
@@ -146,7 +136,6 @@ class DeviceRuntime:
         noise: NoiseModel,
         rng,
         internal_rate_hz: float = DEFAULT_INTERNAL_RATE_HZ,
-        window_duration_s: float = WINDOW_DURATION_S,
     ) -> None:
         self.signal = signal
         self.rng = as_rng(rng)
@@ -156,7 +145,6 @@ class DeviceRuntime:
             internal_rate_hz=internal_rate_hz,
             seed=self.rng,
         )
-        self.buffer = SampleBuffer(window_duration_s=window_duration_s)
         self.controller = controller
         self.controller.reset()
         self.observe: Optional[Callable] = getattr(
@@ -165,31 +153,6 @@ class DeviceRuntime:
         self.power_model = power_model
         self.trace = SimulationTrace()
         self.active_config: Optional[SensorConfig] = None
-        #: Cached per-chunk feature partials, oldest first.
-        self.partials: Deque[ChunkPartials] = deque()
-        #: Chunks acquired since the configuration last changed.
-        self.chunks_in_config = 0
-        self.previous_config: Optional[SensorConfig] = None
-
-    @classmethod
-    def from_profile(
-        cls,
-        profile,
-        internal_rate_hz: float = DEFAULT_INTERNAL_RATE_HZ,
-        window_duration_s: float = WINDOW_DURATION_S,
-    ) -> "DeviceRuntime":
-        """Build the runtime of one fleet device from its profile."""
-        rng = as_rng(profile.seed)
-        signal = ScheduledSignal(list(profile.schedule), seed=rng)
-        return cls(
-            signal=signal,
-            controller=profile.make_controller(),
-            power_model=profile.power_model,
-            noise=profile.noise,
-            rng=rng,
-            internal_rate_hz=internal_rate_hz,
-            window_duration_s=window_duration_s,
-        )
 
 
 class _StreamingSummary:
@@ -316,7 +279,7 @@ class EngineState:
 
     The state also carries the *mid-simulation* accumulators a
     continued run needs — the per-configuration stacked-partials
-    history of the ring path and the streaming telemetry fold of
+    history and the streaming telemetry fold of
     ``trace="summary"`` runs — so one simulation can be advanced in
     several :meth:`StepEngine.run` segments (``start_step=``) and stay
     bit-identical to a single uninterrupted run.  That is what makes a
@@ -329,10 +292,7 @@ class EngineState:
         "num_devices",
         "controllers",
         "bank",
-        "loose",
-        "raw_stacks",
         "ring",
-        "chunks_in_config",
         "noise_bank",
         "statics",
         "signal_tables",
@@ -348,28 +308,15 @@ class EngineState:
         self.engine = engine
         self.num_devices = len(runtimes)
         self.controllers = [runtime.controller for runtime in runtimes]
-        self.bank: Optional[ControllerBank] = None
-        if engine.controllers == "bank":
-            candidate = ControllerBank(self.controllers)
-            if candidate.num_banked > 0:
-                self.bank = candidate
-        self.loose = (
-            self.bank.loose_indices
-            if self.bank is not None
-            else tuple(range(self.num_devices))
+        # ``controllers="per_object"`` leaves every controller loose:
+        # the bank still groups devices by configuration, but advances
+        # each controller through its own ``update``.
+        self.bank = ControllerBank(
+            self.controllers, vectorize=engine.controllers == "bank"
         )
-        # With the bank active, stacked acquisitions stay one array per
-        # configuration group end to end (no per-device window objects).
-        self.raw_stacks = self.bank is not None and engine.sensing == "stacked"
-        self.ring: Optional[RingBufferBank] = None
-        self.chunks_in_config: Optional[np.ndarray] = None
-        if self.raw_stacks:
-            self.ring = RingBufferBank(
-                self.num_devices,
-                engine.window_duration_s,
-                dtype=engine._np_dtype,
-            )
-            self.chunks_in_config = np.zeros(self.num_devices, dtype=np.int64)
+        self.ring = RingBufferBank(
+            self.num_devices, engine.window_duration_s, dtype=engine._np_dtype
+        )
         # The acquisition layer: both noise modes share the signal
         # tables and output-stage constants; only the batched mode
         # holds a noise pool (per-device noise draws from runtime.rng).
@@ -398,7 +345,7 @@ class EngineState:
         self.table_rows: Optional[np.ndarray] = (
             table_rows if len(first_rows) < self.num_devices else None
         )
-        #: Ring-path per-configuration stacked-partials history (the
+        #: Per-configuration stacked-partials history (the
         #: last ``cached_chunks`` tick reductions); lives on the state
         #: so a segmented run keeps its incremental-feature warm-up.
         self.partials_history: Dict[SensorConfig, Deque] = {}
@@ -416,12 +363,8 @@ class EngineState:
         signal-table cache stays warm on purpose — see the class
         docstring.
         """
-        if self.bank is not None:
-            self.bank.reset()
-        if self.ring is not None:
-            self.ring.reset()
-        if self.chunks_in_config is not None:
-            self.chunks_in_config.fill(0)
+        self.bank.reset()
+        self.ring.reset()
         if self.noise_bank is not None:
             self.noise_bank.reset()
         self.partials_history.clear()
@@ -445,17 +388,13 @@ class StepEngine:
         ``"incremental"`` (default) caches per-chunk partial features
         and combines overlapping windows cheaply; ``"exact"`` extracts
         every window from scratch (the pre-refactor behaviour).
-    sensing:
-        ``"stacked"`` (default) acquires all devices sharing a
-        configuration in one vectorised pass; ``"per_device"`` reads
-        each sensor individually.  Both produce bit-identical samples.
     controllers:
         ``"bank"`` (default) advances every supported controller family
         through the vectorized array-of-states
         :class:`repro.exec.controller_bank.ControllerBank` (custom
-        controller types automatically stay per-object);
-        ``"per_object"`` calls every controller's ``update`` in a
-        Python loop (the pre-bank behaviour).  Both produce
+        controller types automatically stay loose); ``"per_object"``
+        leaves every controller loose, so each one's own ``update`` and
+        ``observe_window`` run on the same ring path.  Both produce
         bit-identical traces.
     noise:
         Measurement-noise source.  ``"per_device"`` (default) draws
@@ -468,8 +407,7 @@ class StepEngine:
         constants).  Batched noise *values* differ from the per-device
         stream (the draws come from a different generator family) but
         are statistically equivalent, and runs are bit-identical across
-        engines, sensing/controller modes and shard counts within the
-        mode.
+        engines, controller modes and shard counts within the mode.
     dtype:
         Compute-lane precision.  ``"float64"`` (default) is the
         bit-exact reference — identical to the pre-dtype engine in
@@ -478,8 +416,8 @@ class StepEngine:
         spectra), converting to float64 only at the classifier
         boundary: features agree with the float64 lane to ~1e-4
         relative, labels match away from decision boundaries, and runs
-        stay bit-identical across engines, sensing/controller modes and
-        shard counts *within* the lane.
+        stay bit-identical across engines, controller modes and shard
+        counts *within* the lane.
     metrics:
         Optional :class:`repro.obs.metrics.MetricsRegistry` the engine
         records phase spans, counters and gauges into while running —
@@ -497,7 +435,6 @@ class StepEngine:
         step_s: float = 1.0,
         window_duration_s: float = WINDOW_DURATION_S,
         features: str = "incremental",
-        sensing: str = "stacked",
         controllers: str = "bank",
         noise: str = "per_device",
         dtype: str = "float64",
@@ -513,10 +450,6 @@ class StepEngine:
         if features not in FEATURE_MODES:
             raise ValueError(
                 f"features must be one of {FEATURE_MODES}, got {features!r}"
-            )
-        if sensing not in SENSING_MODES:
-            raise ValueError(
-                f"sensing must be one of {SENSING_MODES}, got {sensing!r}"
             )
         if controllers not in CONTROLLER_MODES:
             raise ValueError(
@@ -535,7 +468,6 @@ class StepEngine:
         self._step_s = float(step_s)
         self._window_duration_s = float(window_duration_s)
         self._features = features
-        self._sensing = sensing
         self._controllers = controllers
         self._noise = noise
         self._dtype = dtype
@@ -573,11 +505,6 @@ class StepEngine:
     def features(self) -> str:
         """The active feature-extraction mode."""
         return self._features
-
-    @property
-    def sensing(self) -> str:
-        """The active acquisition mode."""
-        return self._sensing
 
     @property
     def controllers(self) -> str:
@@ -618,16 +545,11 @@ class StepEngine:
             noise=noise,
             rng=rng,
             internal_rate_hz=self._internal_rate_hz,
-            window_duration_s=self._window_duration_s,
         )
 
     def runtime_from_profile(self, profile) -> DeviceRuntime:
         """Build a fleet-device runtime matching this engine's timing."""
-        return DeviceRuntime.from_profile(
-            profile,
-            internal_rate_hz=self._internal_rate_hz,
-            window_duration_s=self._window_duration_s,
-        )
+        return self.runtimes_from_profiles([profile])[0]
 
     def runtimes_from_profiles(self, profiles) -> List[DeviceRuntime]:
         """Build one runtime per profile, sharing synthesis where possible.
@@ -641,7 +563,7 @@ class StepEngine:
         runtime after the first gets a fresh generator restored to the
         post-synthesis stream position, so its sensor-bias and
         noise-stream draws replay bit-identically to an independent
-        :meth:`DeviceRuntime.from_profile` construction.
+        single-profile construction.
 
         Ordinary fleets (per-device seeds) see exactly the historical
         per-profile construction, object for object.
@@ -676,7 +598,6 @@ class StepEngine:
                     noise=profile.noise,
                     rng=rng,
                     internal_rate_hz=self._internal_rate_hz,
-                    window_duration_s=self._window_duration_s,
                 )
             )
         return runtimes
@@ -794,11 +715,7 @@ class StepEngine:
                 truth_labels[index] = activities
 
         bank = state.bank
-        loose = state.loose
-        # Array-returning classification feeds both the bank and the
-        # streaming fold; the per-object full-trace path keeps the
-        # result-object API.
-        use_arrays = bank is not None or trace == "summary"
+        loose = bank.loose_indices
         # Continuation accumulators live on the state so a segmented
         # run (fault-tolerant round loop) resumes mid-stream exactly.
         if trace == "summary":
@@ -807,21 +724,14 @@ class StepEngine:
             summary = state.summary
         else:
             summary = None
-        raw_stacks = state.raw_stacks
         partials_history = state.partials_history
         # The acquisition layer (noise pool, cached clean-signal
         # tables, output-stage constants, ring sample storage) lives on
         # the state so reusable runtimes keep it across runs.
         noise_bank = state.noise_bank
-        statics = state.statics
         signal_tables = state.signal_tables
         ring = state.ring
-        chunks_in_config = state.chunks_in_config
-        intensities = (
-            np.full(num_devices, np.nan)
-            if bank is not None and bank.has_intensity
-            else None
-        )
+        intensities = np.full(num_devices, np.nan) if bank.has_intensity else None
         device_rows = np.arange(num_devices)
 
         # Observability: every update below is guarded by ``metered``,
@@ -855,137 +765,59 @@ class StepEngine:
                 tick_start_ns = mx.now_ns()
             switched = 0
 
-            # Phase 1: group devices by active configuration.  The bank
-            # path groups from the state arrays; group index vectors
-            # stay ndarrays so later per-group scatters need no list
-            # round-trips.  On the raw-stack path ``active_config``
-            # only feeds full-trace records (phase 2 carries the group
-            # config directly), so summary runs skip the stores.
-            groups: Dict[SensorConfig, List[int]] = {}
-            if bank is not None:
-                config_ids = bank.current_config_ids(controllers)
-                for config_id in np.unique(config_ids):
-                    indices = np.flatnonzero(config_ids == config_id)
-                    config = bank.config_for_id(config_id)
-                    groups[config] = indices
-                    if summary is None or not raw_stacks:
-                        for i in indices:
-                            runtimes[i].active_config = config
-            else:
-                for index, runtime in enumerate(runtimes):
-                    config = controllers[index].current_config
-                    runtime.active_config = config
-                    groups.setdefault(config, []).append(index)
+            # Phase 1: group devices by active configuration, read from
+            # the bank's state arrays; group index vectors stay ndarrays
+            # so later per-group scatters need no list round-trips.
+            # ``active_config`` only feeds full-trace records, so
+            # summary runs skip the stores.
+            groups: Dict[SensorConfig, np.ndarray] = {}
+            config_ids = bank.current_config_ids(controllers)
+            for config_id in np.unique(config_ids):
+                indices = np.flatnonzero(config_ids == config_id)
+                config = bank.config_for_id(config_id)
+                groups[config] = indices
+                if summary is None:
+                    for i in indices:
+                        runtimes[i].active_config = config
 
-            # Phase 1b: acquire, one stacked pass per configuration.  On
-            # the banked path the stack itself is the acquisition record:
-            # buffers hold row views and feature extraction / intensity
-            # switching slice it, so no per-device window objects exist.
-            acquisitions: Optional[List] = None
-            stacks: Dict[SensorConfig, Tuple[np.ndarray, np.ndarray]] = {}
-            if raw_stacks:
-                for config, indices in groups.items():
-                    stacks[config] = self._acquire(
-                        state, runtimes, indices, config, step_end
-                    )
-            else:
-                acquisitions = [None] * num_devices
-                for config, indices in groups.items():
-                    if self._sensing == "stacked":
-                        quantised, sample_times = self._acquire(
-                            state, runtimes, np.asarray(indices), config, step_end
-                        )
-                        windows = [
-                            SensorWindow(
-                                samples=quantised[row],
-                                times_s=sample_times,
-                                config=config,
-                            )
-                            for row in range(len(indices))
-                        ]
-                    elif noise_bank is not None:
-                        group_rows = np.asarray(indices)
-                        stds = statics.noise_stds(config.averaging_window)
-                        group_noise = noise_bank.normal(
-                            group_rows,
-                            config.samples_in(step_s),
-                            stds[group_rows],
-                        )
-                        windows = [
-                            runtimes[i].sensor.read_window(
-                                end_time_s=step_end,
-                                duration_s=step_s,
-                                config=config,
-                                noise=group_noise[row],
-                            )
-                            for row, i in enumerate(indices)
-                        ]
-                    else:
-                        windows = [
-                            runtimes[i].sensor.read_window(
-                                end_time_s=step_end,
-                                duration_s=step_s,
-                                config=config,
-                                rng=runtimes[i].rng,
-                            )
-                            for i in indices
-                        ]
-                    for i, window in zip(indices, windows):
-                        acquisitions[i] = window
+            # Phase 1b: acquire, one stacked pass per configuration.  The
+            # stack itself is the acquisition record: the ring holds its
+            # rows and feature extraction / intensity switching slice
+            # it, so no per-device window objects exist.
+            stacks: Dict[SensorConfig, Tuple[np.ndarray, np.ndarray]] = {
+                config: self._acquire(state, runtimes, indices, config, step_end)
+                for config, indices in groups.items()
+            }
 
-            # Phase 2: buffers, observe hooks, chunk bookkeeping.  With
-            # the ring bank the whole phase is three array operations
-            # per configuration group (scatter, reset, increment); only
-            # loose devices with observe hooks still see Python.
-            if ring is not None:
-                for config, indices in groups.items():
-                    samples, sample_times = stacks[config]
-                    changed = ring.push_group(indices, samples, sample_times, config)
-                    switched += changed.size
-                    chunks_in_config[changed] = 0
-                    chunks_in_config[indices] += 1
-                    if bank.num_banked < num_devices:
-                        for row in np.flatnonzero(~bank.is_banked[indices]):
-                            index = indices[row]
-                            if runtimes[index].observe is not None:
-                                runtimes[index].observe(
-                                    SensorWindow(
-                                        samples=samples[row],
-                                        times_s=sample_times,
-                                        config=config,
-                                    )
+            # Phase 2: ring buffers and observe hooks — one scatter per
+            # configuration group (rows whose configuration changed are
+            # flushed first); only loose devices with observe hooks still
+            # see Python.
+            for config, indices in groups.items():
+                samples, sample_times = stacks[config]
+                changed = ring.push_group(indices, samples, sample_times, config)
+                switched += changed.size
+                if loose:
+                    for row in np.flatnonzero(~bank.is_banked[indices]):
+                        index = indices[row]
+                        if runtimes[index].observe is not None:
+                            runtimes[index].observe(
+                                SensorWindow(
+                                    samples=samples[row],
+                                    times_s=sample_times,
+                                    config=config,
                                 )
-            else:
-                for index, runtime in enumerate(runtimes):
-                    runtime.buffer.push(acquisitions[index])
-                    if runtime.observe is not None and (
-                        bank is None or not bank.is_banked[index]
-                    ):
-                        runtime.observe(acquisitions[index])
-                    if runtime.active_config != runtime.previous_config:
-                        switched += 1
-                        runtime.partials.clear()
-                        runtime.chunks_in_config = 0
-                        runtime.previous_config = runtime.active_config
-                    runtime.chunks_in_config += 1
+                            )
 
             # Banked intensity devices: one stacked derivative pass per
             # configuration replaces their per-object observe hooks.
             if intensities is not None:
                 for config, indices in groups.items():
-                    if raw_stacks:
-                        rows = np.flatnonzero(bank.is_intensity[indices])
-                        if rows.size:
-                            intensities[indices[rows]] = stacked_intensities(
-                                stacks[config][0][rows]
-                            )
-                    else:
-                        observed = [i for i in indices if bank.is_intensity[i]]
-                        if observed:
-                            chunks = np.stack(
-                                [acquisitions[i].samples for i in observed]
-                            )
-                            intensities[observed] = stacked_intensities(chunks)
+                    rows = np.flatnonzero(bank.is_intensity[indices])
+                    if rows.size:
+                        intensities[indices[rows]] = stacked_intensities(
+                            stacks[config][0][rows]
+                        )
                 bank.observe_intensities(intensities)
 
             if metered:
@@ -1000,39 +832,28 @@ class StepEngine:
                 # globally across segments) count as switches.
                 if start_step + step_index > 1:
                     mx.count("engine.config_switches", switched)
-                if ring is not None:
-                    mx.gauge("ring.buffered_samples", float(ring.counts.sum()))
+                mx.gauge("ring.buffered_samples", float(ring.counts.sum()))
 
             # Phase 3: feature extraction (incremental where possible).
             features = np.empty(
                 (num_devices, self._pipeline.extractor.num_features)
             )
             for config, indices in groups.items():
-                if ring is not None:
-                    self._extract_group_ring(
-                        runtimes,
-                        features,
-                        config,
-                        indices,
-                        stacks[config][0],
-                        partials_history,
-                        ring,
-                        chunks_in_config,
-                    )
-                else:
-                    self._extract_group(
-                        runtimes, features, config, indices, acquisitions
-                    )
+                self._extract_features(
+                    features,
+                    config,
+                    indices,
+                    stacks[config][0],
+                    partials_history,
+                    ring,
+                )
 
             if metered:
                 extract_end_ns = mx.now_ns()
                 mx.span("tick.extract", sense_end_ns, extract_end_ns)
 
             # Phase 4: one batched classification for the whole device set.
-            if use_arrays:
-                labels, confidences = self._pipeline.classify_batch_labels(features)
-            else:
-                results = self._pipeline.classify_batch(features)
+            labels, confidences = self._pipeline.classify_batch_labels(features)
 
             if metered:
                 classify_end_ns = mx.now_ns()
@@ -1040,18 +861,13 @@ class StepEngine:
                 mx.count("engine.windows_classified", num_devices)
 
             # Phase 5: controllers advance (one vectorized pass for the
-            # banked devices), traces record or accumulators fold.
-            if bank is not None:
-                bank.update(labels, confidences)
-            if use_arrays:
-                for index in loose:
-                    controllers[index].update(
-                        Activity(int(labels[index])), float(confidences[index])
-                    )
-            else:
-                for index in loose:
-                    result = results[index]
-                    controllers[index].update(result.activity, result.confidence)
+            # banked devices, one ``update`` per loose controller),
+            # traces record or accumulators fold.
+            bank.update(labels, confidences)
+            for index in loose:
+                controllers[index].update(
+                    Activity(int(labels[index])), float(confidences[index])
+                )
 
             if metered:
                 adapt_end_ns = mx.now_ns()
@@ -1069,19 +885,12 @@ class StepEngine:
                 )
             else:
                 for index, runtime in enumerate(runtimes):
-                    if use_arrays:
-                        predicted = Activity(int(labels[index]))
-                        confidence = float(confidences[index])
-                    else:
-                        result = results[index]
-                        predicted = result.activity
-                        confidence = result.confidence
                     runtime.trace.append(
                         StepRecord(
                             time_s=step_end,
                             true_activity=truths[index][step_index - 1],
-                            predicted_activity=predicted,
-                            confidence=confidence,
+                            predicted_activity=Activity(int(labels[index])),
+                            confidence=float(confidences[index]),
                             config_name=runtime.active_config.name,
                             current_ua=runtime.power_model.current_ua(
                                 runtime.active_config
@@ -1125,8 +934,7 @@ class StepEngine:
             # by the heartbeat emitter without touching engine state.
             mx.gauge("engine.steps_done", float(start_step + num_steps))
 
-        if bank is not None:
-            bank.write_back(controllers)
+        bank.write_back(controllers)
         if summary is not None:
             return summary.summaries()
         return [runtime.trace for runtime in runtimes]
@@ -1168,93 +976,45 @@ class StepEngine:
             )
         return self._geometries[config]
 
-    def _extract_group(
+    def _extract_features(
         self,
-        runtimes: Sequence[DeviceRuntime],
-        features: np.ndarray,
-        config: SensorConfig,
-        indices: List[int],
-        acquisitions: Sequence,
-    ) -> None:
-        """Fill the feature rows of one configuration group.
-
-        Per-device spelling: partials are cached on each runtime's
-        deque.  The raw-stack path uses :meth:`_extract_group_ring`.
-        """
-        geometry = (
-            self._geometry(config) if self._features == "incremental" else None
-        )
-        exact_indices = indices
-        if geometry is not None:
-            chunks = np.stack([acquisitions[i].samples for i in indices])
-            partials = self._incremental.chunk_partials_stacked(chunks, geometry)
-            cached = geometry.cached_chunks
-            steady: List[int] = []
-            exact_indices = []
-            for i, chunk_partials in zip(indices, partials):
-                runtime = runtimes[i]
-                runtime.partials.append(chunk_partials)
-                while len(runtime.partials) > cached:
-                    runtime.partials.popleft()
-                if (
-                    runtime.chunks_in_config >= cached
-                    and runtime.buffer.num_samples == geometry.window_samples
-                ):
-                    steady.append(i)
-                else:
-                    exact_indices.append(i)
-            if steady:
-                features[steady] = self._incremental.combine_stacked(
-                    [runtimes[i].partials for i in steady], geometry
-                )
-                if self._metrics.enabled:
-                    self._metrics.count(
-                        "features.incremental_windows", len(steady)
-                    )
-        if len(exact_indices):
-            self._extract_exact(runtimes, features, config, exact_indices)
-
-    def _extract_group_ring(
-        self,
-        runtimes: Sequence[DeviceRuntime],
         features: np.ndarray,
         config: SensorConfig,
         indices: np.ndarray,
         chunk_stack: np.ndarray,
         history: Dict[SensorConfig, Deque],
         ring: RingBufferBank,
-        chunks_in_config: np.ndarray,
     ) -> None:
-        """Fill the feature rows of one configuration group (ring path).
+        """Fill the feature rows of one configuration group.
 
-        Instead of per-device partial deques, each tick's group
-        reduction stays one :class:`StackedChunkPartials`, kept in a
+        Each tick's group reduction stays one
+        :class:`repro.core.features.StackedChunkPartials`, kept in a
         per-configuration history of the last ``cached_chunks`` ticks;
         a steady-state device's window gathers its row from each
-        history slot.  The per-device steady/warm-up decision is one array
-        comparison against the ring bank's sample counts and the
-        engine's chunk counters — feature values are bit-identical to
-        both other spellings.
+        history slot.  The per-device steady/warm-up decision is one
+        array comparison against the ring bank's sample counts: a row
+        holds a full window only after ``cached_chunks`` consecutive
+        ticks under ``config`` (the ring flushes on a configuration
+        change), so the history's slots are exactly that device's
+        chunks.  Feature values are bit-identical to reducing each
+        device's own chunk deque (the reference loop's spelling).
         """
         geometry = (
             self._geometry(config) if self._features == "incremental" else None
         )
-        exact_indices: "np.ndarray | List[int]" = indices
+        exact_indices = indices
         steady = None
         if geometry is not None:
             stacked = self._incremental.chunk_partials_arrays(chunk_stack, geometry)
-            rows = np.empty(len(runtimes), dtype=np.intp)
+            rows = np.empty(features.shape[0], dtype=np.intp)
             rows[indices] = np.arange(len(indices))
             entries = history.get(config)
             if entries is None:
                 entries = deque(maxlen=geometry.cached_chunks)
                 history[config] = entries
             entries.append((stacked, rows))
-            cached = geometry.cached_chunks
-            if len(entries) == cached:
-                steady_mask = (chunks_in_config[indices] >= cached) & (
-                    ring.counts[indices] == geometry.window_samples
-                )
+            if len(entries) == geometry.cached_chunks:
+                steady_mask = ring.counts[indices] == geometry.window_samples
                 steady = indices[steady_mask]
                 exact_indices = indices[~steady_mask]
             if steady is not None and steady.size:
@@ -1273,30 +1033,21 @@ class StepEngine:
                     slots, geometry
                 )
         if len(exact_indices):
-            self._extract_exact(runtimes, features, config, exact_indices, ring)
+            self._extract_exact(features, config, exact_indices, ring)
 
     def _extract_exact(
         self,
-        runtimes: Sequence[DeviceRuntime],
         features: np.ndarray,
         config: SensorConfig,
-        exact_indices: "List[int] | np.ndarray",
-        ring: Optional[RingBufferBank] = None,
+        exact_indices: np.ndarray,
+        ring: RingBufferBank,
     ) -> None:
         """Exact full-window extraction for warm-up windows and the
         ``features="exact"`` toggle; extract_batch stacks equal-shape
         windows and keeps the input order."""
         if self._metrics.enabled:
             self._metrics.count("features.exact_windows", len(exact_indices))
-        if ring is not None:
-            windows = [
-                (ring.window(i)[0], config.sampling_hz) for i in exact_indices
-            ]
-        else:
-            windows = [
-                (runtimes[i].buffer.window().samples, config.sampling_hz)
-                for i in exact_indices
-            ]
+        windows = [(ring.window(i)[0], config.sampling_hz) for i in exact_indices]
         features[exact_indices] = self._incremental.extractor.extract_batch(
             windows, dtype=self._np_dtype
         )

@@ -468,7 +468,7 @@ class ShardedFleetSimulator:
     num_shards:
         Default shard count for :meth:`run`; ``None`` uses the machine's
         CPU count.
-    internal_rate_hz, step_s, window_duration_s, features, sensing, controllers, noise, dtype:
+    internal_rate_hz, step_s, window_duration_s, features, controllers, noise, dtype:
         Forwarded to the per-shard :class:`repro.exec.engine.StepEngine`.
         The ``noise="batched"`` acquisition layer derives every device's
         stream from the device's own seed, so sharded results stay
@@ -547,7 +547,6 @@ class ShardedFleetSimulator:
         step_s: float = 1.0,
         window_duration_s: float = WINDOW_DURATION_S,
         features: str = "incremental",
-        sensing: str = "stacked",
         controllers: str = "bank",
         noise: str = "per_device",
         dtype: str = "float64",
@@ -576,7 +575,6 @@ class ShardedFleetSimulator:
             "step_s": step_s,
             "window_duration_s": window_duration_s,
             "features": features,
-            "sensing": sensing,
             "controllers": controllers,
             "noise": noise,
             "dtype": dtype,

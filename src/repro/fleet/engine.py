@@ -4,21 +4,22 @@
 the sense → classify → adapt loop *together*, one simulated second at a
 time, by handing the whole population to the shared execution core
 (:class:`repro.exec.engine.StepEngine`) — the same engine the
-single-device :class:`repro.sim.runtime.ClosedLoopSimulator` drives, so
-the two loops cannot drift apart.  Per tick the engine batches the
-expensive middle of the loop: devices sharing a sensor configuration
-are *sensed* with one stacked acquisition pass, their features are
-extracted incrementally from cached per-second partials (or exactly,
-with ``features="exact"``), and the entire fleet is classified with a
-**single** :meth:`repro.core.pipeline.HarPipeline.classify_batch` call.
+single-device :class:`repro.sim.runtime.ClosedLoopSimulator` drives.
+Per tick the engine batches the expensive middle of the loop: devices
+sharing a sensor configuration are *sensed* with one stacked
+acquisition pass, their features are extracted incrementally from
+cached per-second partials (or exactly, with ``features="exact"``),
+and the entire fleet is classified with a **single** batched
+classifier call.
 
 Because the batched classifier path is bit-for-bit invariant to batch
-size, the stacked sensing path preserves each device's private noise
+size, the stacked acquisition preserves each device's private noise
 stream, and the incremental/exact feature decision depends only on
-per-device state, a fleet simulation produces *exactly* the traces the
-sequential per-device loop would — :meth:`FleetSimulator.run_sequential`
-is that reference path, used by the equivalence tests, the sharding
-tests and the throughput benchmark.
+per-device state, a fleet simulation produces *exactly* the traces a
+plain per-device loop would.  :meth:`FleetSimulator.run_sequential`
+runs that loop — :mod:`repro.sim.reference`, which shares no code with
+the engine — as the reference the equivalence tests, the sharding
+tests and the throughput benchmark check against.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from repro.core.pipeline import HarPipeline
 from repro.exec.engine import DeviceRuntime, EngineState, StepEngine
 from repro.fleet.population import DeviceProfile, DevicePopulation
 from repro.sensors.imu import DEFAULT_INTERNAL_RATE_HZ
-from repro.sim.runtime import ClosedLoopSimulator
+from repro.sim.reference import simulate_profile
 from repro.sim.trace import SimulationTrace, TraceSummary
 from repro.utils.validation import check_positive
 
@@ -131,7 +132,7 @@ class FleetRuntime:
     run skips every construction cost and rebuilds nothing.
 
     :meth:`reset` rewinds all mutable state — generator positions,
-    controllers, buffers, traces, feature partials — to the
+    controllers, traces and the engine state — to the
     just-constructed snapshot, so every run over the runtime is
     bit-identical to a fresh simulator run in the same mode.
     """
@@ -165,12 +166,8 @@ class FleetRuntime:
         for runtime, rng_state in zip(self.runtimes, self._rng_states):
             runtime.rng.bit_generator.state = rng_state
             runtime.controller.reset()
-            runtime.buffer.clear()
             runtime.trace = SimulationTrace()
             runtime.active_config = None
-            runtime.partials.clear()
-            runtime.chunks_in_config = 0
-            runtime.previous_config = None
         self.state.reset()
         self._dirty = False
 
@@ -200,17 +197,15 @@ class FleetSimulator:
         Feature mode of the execution core — ``"incremental"``
         (default) or ``"exact"``; see
         :class:`repro.exec.engine.StepEngine`.
-    sensing:
-        Acquisition mode — ``"stacked"`` (default, vectorised across
-        devices sharing a configuration) or ``"per_device"``.
     controllers:
         Controller-advance mode — ``"bank"`` (default, one vectorized
-        array-of-states pass per tick) or ``"per_object"``; see
+        array-of-states pass per tick) or ``"per_object"`` (every
+        controller loose, advanced through its own ``update``); see
         :class:`repro.exec.engine.StepEngine`.
     noise:
-        Acquisition-layer mode — ``"per_device"`` (default, bit-exact
-        v1.3.0 reference) or ``"batched"`` (pooled counter-based noise
-        streams, ring sample storage and cached signal tables); see
+        Measurement-noise source — ``"per_device"`` (default, each
+        device's own stream, bit-exact v1.3.0 reference) or
+        ``"batched"`` (pooled counter-based noise streams); see
         :class:`repro.exec.engine.StepEngine`.
     dtype:
         Compute-lane precision — ``"float64"`` (default, bit-exact with
@@ -233,7 +228,6 @@ class FleetSimulator:
         step_s: float = 1.0,
         window_duration_s: float = WINDOW_DURATION_S,
         features: str = "incremental",
-        sensing: str = "stacked",
         controllers: str = "bank",
         noise: str = "per_device",
         dtype: str = "float64",
@@ -245,7 +239,6 @@ class FleetSimulator:
             step_s=step_s,
             window_duration_s=window_duration_s,
             features=features,
-            sensing=sensing,
             controllers=controllers,
             noise=noise,
             dtype=dtype,
@@ -365,47 +358,40 @@ class FleetSimulator:
         population: "DevicePopulation | Sequence[DeviceProfile]",
         duration_s: Optional[float] = None,
     ) -> FleetResult:
-        """Simulate each device independently with the single-device loop.
+        """Simulate each device independently with the reference loop.
 
         This is the O(N × per-device-loop) reference the batched and
-        sharded engines are validated against and benchmarked over.  It
-        uses the same feature and noise modes as the batched path (so a
-        ``noise="batched"`` simulator is compared against a
-        batched-noise reference) but reads every
-        sensor individually and advances every controller per object,
-        so it exercises the scalar acquisition and adaptation paths.
-        Devices whose schedules are longer than ``duration_s`` are
-        truncated so both paths simulate the same number of steps.
+        sharded engines are validated against and benchmarked over:
+        :func:`repro.sim.reference.simulate_profile`, a plain
+        single-device loop that shares no code with the execution
+        core.  It uses the same feature, noise and dtype modes as the
+        batched path (so a ``noise="batched"`` simulator is compared
+        against a batched-noise reference) and always records full
+        traces.  Every device simulates the same number of steps,
+        ``duration_s / step_s``.
         """
         profiles = tuple(population)
         if not profiles:
             raise ValueError("population must contain at least one device")
-        duration = resolve_fleet_duration(
-            profiles, duration_s, self._engine.step_s
-        )
-        num_steps = int(round(duration / self._engine.step_s))
+        engine = self._engine
+        duration = resolve_fleet_duration(profiles, duration_s, engine.step_s)
+        num_steps = int(round(duration / engine.step_s))
 
         start = time.perf_counter()
-        traces: List[SimulationTrace] = []
-        for profile in profiles:
-            simulator = ClosedLoopSimulator(
-                pipeline=self._engine.pipeline,
-                controller=profile.make_controller(),
-                power_model=profile.power_model,
-                noise=profile.noise,
-                internal_rate_hz=self._engine.internal_rate_hz,
-                step_s=self._engine.step_s,
-                window_duration_s=self._engine.window_duration_s,
-                features=self._engine.features,
-                sensing="per_device",
-                controllers="per_object",
-                acquisition=self._engine.noise,
-                dtype=self._engine.dtype,
-                metrics=self._engine.metrics,
+        traces = [
+            simulate_profile(
+                engine.pipeline,
+                profile,
+                num_steps,
+                internal_rate_hz=engine.internal_rate_hz,
+                step_s=engine.step_s,
+                window_duration_s=engine.window_duration_s,
+                features=engine.features,
+                noise=engine.noise,
+                dtype=engine.dtype,
             )
-            trace = simulator.run(list(profile.schedule), seed=profile.seed)
-            trace.records = trace.records[:num_steps]
-            traces.append(trace)
+            for profile in profiles
+        ]
         elapsed = time.perf_counter() - start
         return FleetResult(
             profiles=profiles,

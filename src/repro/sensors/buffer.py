@@ -20,11 +20,13 @@ configuration holds a fixed number of samples, so both spellings keep a
 ``(capacity, 3)`` array and a write cursor instead of a growing chunk
 list — a push is one or two slice assignments, ``num_samples`` is a
 counter, and a windowed read concatenates at most two slices across the
-wrap seam.  :class:`SampleBuffer` is the per-device spelling;
-:class:`RingBufferBank` holds one ring *per fleet device* in shared
-arrays so the execution engine's batched path can push a whole
-configuration group with a single vectorised scatter and test window
-readiness with one array comparison — no per-device Python at all.
+wrap seam.  :class:`SampleBuffer` is the per-device spelling (the
+reference loop of :mod:`repro.sim.reference`, the streaming API and
+the intensity baseline use it); :class:`RingBufferBank` holds one ring
+*per fleet device* in shared arrays so the execution engine can push a
+whole configuration group with a single vectorised scatter and test
+window readiness with one array comparison — no per-device Python at
+all.
 """
 
 from __future__ import annotations
@@ -146,10 +148,9 @@ class SampleBuffer:
     ) -> None:
         """Append already-validated float64 samples without a window object.
 
-        Semantics are exactly those of :meth:`push`; this spelling lets
-        the execution engine feed the buffer a row of one stacked
-        acquisition instead of building a :class:`SensorWindow` per
-        device per tick.
+        Semantics are exactly those of :meth:`push`; this spelling
+        takes a row of a stacked acquisition without building a
+        :class:`SensorWindow` around it.
         """
         if self._config is not None and config != self._config:
             self.clear()
@@ -214,8 +215,8 @@ class SampleBuffer:
 class RingBufferBank:
     """One preallocated sample ring per fleet device, in shared arrays.
 
-    The execution engine's batched path pushes a whole configuration
-    group's stacked acquisition with one call: configuration switches
+    The execution engine pushes a whole configuration group's stacked
+    acquisition with one call: configuration switches
     are detected by comparing interned configuration ids, the ring
     write is a single fancy-indexed scatter, and sample counts live in
     one array so window-readiness checks vectorise.  Per-device sample

@@ -25,7 +25,7 @@ The *signal* being measured is any object exposing
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -48,7 +48,7 @@ def _sample_times(
 
     Single source of truth for the window's sample instants, so the
     scalar :meth:`SimulatedAccelerometer.read_window` and the stacked
-    :func:`read_windows_stacked` cannot drift apart.
+    :func:`read_windows_stacked_raw` cannot drift apart.
     """
     check_positive(duration_s, "duration_s")
     if end_time_s - duration_s < -1e-9:
@@ -299,11 +299,11 @@ class SimulatedAccelerometer:
         noise:
             Optional precomputed ``(samples, 3)`` measurement-noise
             block (already scaled to the output-sample standard
-            deviation).  The execution engine's ``noise="batched"``
+            deviation).  The reference loop's ``noise="batched"``
             mode passes the device's
             :class:`repro.sensors.noise_bank.NoiseBank` draw here so a
             scalar acquisition consumes exactly the same stream values
-            as a stacked one.
+            as the engine's stacked one.
 
         Returns
         -------
@@ -407,63 +407,6 @@ class SensorStatics:
             stds = self._base_stds / float(np.sqrt(averaging_window))
             self._std_cache[averaging_window] = stds
         return stds
-
-
-def read_windows_stacked(
-    sensors: Sequence["SimulatedAccelerometer"],
-    end_time_s: float,
-    duration_s: float,
-    config: SensorConfig,
-    rngs: Sequence[np.random.Generator],
-) -> List[SensorWindow]:
-    """Acquire the same window interval from many sensors in one pass.
-
-    All sensors share the configuration and the time grid, so the
-    sample times are computed once, every device's clean signal comes
-    from one stacked trigonometric pass and bias, clipping and
-    quantisation apply to the whole ``(devices, samples, 3)`` stack at
-    once.  Per-device noise is still drawn from each device's own
-    generator with exactly the call
-    :meth:`SimulatedAccelerometer.read_window` makes, so the returned
-    windows are bit-for-bit identical to reading each sensor
-    individually — the property the engine equivalence tests pin
-    down.
-
-    This one-shot spelling builds throwaway :class:`SensorStatics` and
-    signal tables per call; the execution engine holds both across
-    ticks and calls :func:`read_windows_stacked_raw` directly.
-
-    Parameters
-    ----------
-    sensors:
-        The simulated accelerometers to read, one per device; they must
-        share one internal conversion rate.
-    end_time_s, duration_s, config:
-        As in :meth:`SimulatedAccelerometer.read_window`.
-    rngs:
-        One noise generator per sensor (parallel to ``sensors``).
-    """
-    from repro.datasets.synthetic import StackedEvaluationCache
-
-    if len(sensors) != len(rngs):
-        raise ValueError(
-            f"sensors and rngs must be parallel, got {len(sensors)} sensors "
-            f"and {len(rngs)} generators"
-        )
-    quantised, times = read_windows_stacked_raw(
-        [sensor._signal for sensor in sensors],
-        end_time_s=end_time_s,
-        duration_s=duration_s,
-        config=config,
-        rows=np.arange(len(sensors)),
-        statics=SensorStatics(sensors),
-        tables=StackedEvaluationCache(len(sensors)),
-        rngs=rngs,
-    )
-    return [
-        SensorWindow(samples=quantised[index], times_s=times, config=config)
-        for index in range(len(sensors))
-    ]
 
 
 def read_windows_stacked_raw(

@@ -8,7 +8,9 @@ controller reacts to the classification — while the energy model keeps
 track of what the sensor cost during every one-second episode.
 
 * :mod:`repro.sim.trace` — per-step records and trace-level summaries;
-* :mod:`repro.sim.runtime` — the step-by-step simulator.
+* :mod:`repro.sim.runtime` — the step-by-step simulator;
+* :mod:`repro.sim.reference` — the independent per-device reference
+  loop the fleet engine is checked against.
 """
 
 from repro.sim.runtime import ClosedLoopSimulator

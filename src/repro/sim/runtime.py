@@ -68,16 +68,8 @@ class ClosedLoopSimulator:
         Feature-extraction mode of the underlying
         :class:`repro.exec.engine.StepEngine` — ``"incremental"``
         (default, chunk-cached) or ``"exact"`` (full-window).
-    sensing:
-        Acquisition mode of the engine — ``"stacked"`` (default) or
-        ``"per_device"``.  Both are bit-identical for a single device.
-    controllers:
-        Controller-advance mode of the engine — ``"bank"`` (default,
-        vectorized array-of-states) or ``"per_object"``.  Both are
-        bit-identical; custom controller types automatically run per
-        object either way.
     acquisition:
-        Acquisition-layer mode of the engine — ``"per_device"``
+        Measurement-noise source of the engine — ``"per_device"``
         (default, bit-exact v1.3.0 measurement-noise streams) or
         ``"batched"`` (pooled counter-based streams; statistically
         equivalent noise, bit-identical across engines within the
@@ -105,8 +97,6 @@ class ClosedLoopSimulator:
         step_s: float = 1.0,
         window_duration_s: float = WINDOW_DURATION_S,
         features: str = "incremental",
-        sensing: str = "stacked",
-        controllers: str = "bank",
         acquisition: str = "per_device",
         dtype: str = "float64",
         metrics=None,
@@ -117,8 +107,6 @@ class ClosedLoopSimulator:
             step_s=step_s,
             window_duration_s=window_duration_s,
             features=features,
-            sensing=sensing,
-            controllers=controllers,
             noise=acquisition,
             dtype=dtype,
             metrics=metrics,

@@ -145,7 +145,7 @@ class TestFusedEquivalence:
         fused = runner.run(population, trace="summary")
         expected = independent_telemetries(
             trained_pipeline, variants, population,
-            features="incremental", sensing="stacked",
+            features="incremental",
             controllers="bank", noise="batched",
         )
         for got, want in zip(fused.telemetries, expected):
@@ -159,7 +159,7 @@ class TestFusedEquivalence:
         )
         for variant, result in zip(grid, fused.results):
             reference = FleetSimulator(
-                trained_pipeline, features="incremental", sensing="stacked",
+                trained_pipeline, features="incremental",
                 controllers="bank", noise="batched",
             ).run(variant.profiles_for(population.profiles), trace="full")
             for got, want in zip(result.traces, reference.traces):
@@ -175,7 +175,7 @@ class TestFusedEquivalence:
         ).run(population, trace="summary")
         expected = independent_telemetries(
             trained_pipeline, grid, population,
-            features="incremental", sensing="stacked",
+            features="incremental",
             controllers="bank", noise="batched", dtype=dtype,
         )
         for got, want in zip(fused.telemetries, expected):

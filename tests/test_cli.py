@@ -503,6 +503,43 @@ class TestArgumentValidation:
             (["fleet", "--round", "0"], "--round: must be a positive finite"),
             (["campaign", "--round", "nan"], "--round: must be a positive finite"),
             (["fleet", "--devices", "ten"], "--devices: expected an integer"),
+            (
+                ["campaign", "--confidences", "0.8,1.5"],
+                "--confidences: confidence threshold must lie in [0, 1]",
+            ),
+            (
+                ["campaign", "--confidences", "1.5"],
+                "--confidences: confidence threshold must lie in [0, 1]",
+            ),
+            (
+                ["campaign", "--thresholds", "-3"],
+                "--thresholds: stability threshold must be a non-negative integer",
+            ),
+            (["campaign", "--thresholds", "10,x"], "--thresholds: cannot parse 'x'"),
+            (
+                ["campaign", "--thresholds", ","],
+                "--thresholds: expected a comma-separated list",
+            ),
+            (
+                ["campaign", "--kinds", "bogus"],
+                "--kinds: controller kind must be one of",
+            ),
+            (
+                ["campaign", "--tables", "F100_A128+bogus"],
+                "--tables: malformed configuration name",
+            ),
+            (["fleet", "--windows", "0"], "--windows: must be at least 1"),
+            (["campaign", "--windows", "0"], "--windows: must be at least 1"),
+            (["fleet", "--heartbeat", "-1"], "--heartbeat: must be a positive finite"),
+            (
+                ["campaign", "--heartbeat", "0"],
+                "--heartbeat: must be a positive finite",
+            ),
+            (["fleet", "--max-retries", "-1"], "--max-retries: must be at least 0"),
+            (
+                ["fleet", "--shard-timeout", "-2"],
+                "--shard-timeout: must be a positive finite",
+            ),
         ],
     )
     def test_bad_values_are_argparse_errors(self, argv, message, capsys):
@@ -517,6 +554,38 @@ class TestArgumentValidation:
         assert last.startswith(f"adasense-repro {argv[0]}: error: argument ")
         assert message in last
         assert "Traceback" not in error
+
+    def test_grid_axes_stay_raw_strings(self):
+        """Validated grid axes keep their comma text: callers (the
+        campaign command, the benchmark child) split it themselves."""
+        args = build_parser().parse_args(
+            [
+                "campaign", "--thresholds", "5,10", "--confidences", "0.7,0.9",
+                "--kinds", "spot,spot_confidence",
+                "--tables", "F100_A128+F12.5_A8,F50_A16",
+            ]
+        )
+        assert args.thresholds == "5,10"
+        assert args.confidences == "0.7,0.9"
+        assert args.kinds == "spot,spot_confidence"
+        assert args.tables == "F100_A128+F12.5_A8,F50_A16"
+
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            (dict(confidence_thresholds=[0.8, 1.5]), "confidence threshold"),
+            (dict(stability_thresholds=[-3]), "stability threshold"),
+            (dict(stability_thresholds=[2.5]), "stability threshold"),
+            (dict(controller_kinds=["bogus"]), "controller kind"),
+            (dict(config_tables=[("F100_A128", "bogus")]), "malformed"),
+            (dict(config_tables=[()]), "at least one configuration"),
+        ],
+    )
+    def test_variant_grid_validates_values(self, axes, message):
+        """Library callers fail when they build the grid, not when a
+        device of some population first reads the bad value."""
+        with pytest.raises(ValueError, match=message):
+            variant_grid(**axes)
 
     def test_sub_tick_duration_rejected_by_the_library(self, trained_pipeline):
         population = DevicePopulation.generate(2, duration_s=5.0, master_seed=1)

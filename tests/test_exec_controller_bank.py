@@ -9,6 +9,7 @@ all four controller families.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.activities import Activity
@@ -26,6 +27,7 @@ from repro.fleet import (
     ShardedFleetSimulator,
     traces_equal,
 )
+from repro.sim.reference import simulate_device
 from repro.sim.runtime import ClosedLoopSimulator
 from repro.sim.trace import TraceSummary
 
@@ -78,27 +80,31 @@ class TestBankTraceEquivalence:
         for left, right in zip(banked.traces, per_object.traces):
             assert traces_equal(left, right)
 
-    def test_bank_per_device_sensing_matches(self, system, population, reference_traces):
-        banked = FleetSimulator(system.pipeline, sensing="per_device").run(population)
-        for left, right in zip(banked.traces, reference_traces):
-            assert traces_equal(left, right)
-
     def test_sharded_bank_matches(self, system, population, reference_traces):
         run = ShardedFleetSimulator(system.pipeline).run(population, num_shards=3)
         for left, right in zip(run.result.traces, reference_traces):
             assert traces_equal(left, right)
 
     def test_single_device_closed_loop_matches(self, system):
+        """The single-device facade (banked) matches the reference loop
+        driving the controller object directly."""
         schedule = [("walk", 12.0), ("sit", 10.0), ("walk", 8.0)]
-        traces = {}
-        for mode in ("bank", "per_object"):
-            simulator = ClosedLoopSimulator(
-                pipeline=system.pipeline,
-                controller=SpotController(stability_threshold=4),
-                controllers=mode,
-            )
-            traces[mode] = simulator.run(schedule, seed=5)
-        assert traces_equal(traces["bank"], traces["per_object"])
+        simulator = ClosedLoopSimulator(
+            pipeline=system.pipeline,
+            controller=SpotController(stability_threshold=4),
+        )
+        banked = simulator.run(schedule, seed=5)
+        rng = np.random.default_rng(5)
+        reference = simulate_device(
+            system.pipeline,
+            ScheduledSignal(schedule, seed=rng),
+            SpotController(stability_threshold=4),
+            simulator.power_model,
+            NoiseModel(),
+            rng,
+            len(banked),
+        )
+        assert traces_equal(banked, reference)
 
 
 class TestSummaryTelemetryEquivalence:

@@ -44,7 +44,6 @@ from repro.sim.runtime import ClosedLoopSimulator
 #: trace mode — these tests want full traces to compare).
 F32_KWARGS = dict(
     features="incremental",
-    sensing="stacked",
     controllers="bank",
     noise="batched",
     dtype="float32",
@@ -156,11 +155,11 @@ class TestBitIdentityWithinLane:
     def test_sequential_reference_within_tolerance(
         self, trained_pipeline, population, float32_reference
     ):
-        """The per-device sequential loop synthesises clean signals in
+        """The per-device reference loop synthesises clean signals in
         float64 (scalar acquisition has no float32 spelling), so within
         the float32 lane it is a tolerance reference, not a bit-exact
-        one — bit-identity is guaranteed across the *stacked* spellings
-        and shard counts above."""
+        one — bit-identity is guaranteed across the engine's controller
+        modes and shard counts above."""
         sequential = FleetSimulator(
             trained_pipeline, **F32_KWARGS
         ).run_sequential(population)

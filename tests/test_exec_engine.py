@@ -1,11 +1,11 @@
 """Tests for the shared execution core (:mod:`repro.exec.engine`).
 
-The engine's central contract is that every execution strategy —
-stacked vs per-device sensing, incremental vs exact features, batched
-vs one-device-at-a-time stepping — produces bit-identical traces.  The
-facades (:class:`ClosedLoopSimulator`, :class:`FleetSimulator`) are
-checked through the same lens, plus the stacked sensing and signal
-helpers the engine is built from.
+The engine's central contract is that it produces traces bit-identical
+to the independent one-device-at-a-time reference loop
+(:mod:`repro.sim.reference`) in every feature mode.  The facades
+(:class:`ClosedLoopSimulator`, :class:`FleetSimulator`) are checked
+through the same lens, plus the stacked acquisition and signal helpers
+the engine is built from.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.fleet.population import DevicePopulation, PopulationSpec
 from repro.sensors.imu import (
     SensorStatics,
     SimulatedAccelerometer,
-    read_windows_stacked,
     read_windows_stacked_raw,
 )
 from repro.sensors.noise_bank import NoiseBank
@@ -54,9 +53,13 @@ class TestEngineValidation:
         with pytest.raises(ValueError):
             StepEngine(trained_pipeline, features="magic")
 
-    def test_rejects_unknown_sensing_mode(self, trained_pipeline):
-        with pytest.raises(ValueError):
-            StepEngine(trained_pipeline, sensing="psychic")
+    def test_sensing_knob_is_gone(self, trained_pipeline):
+        """One execution path: the value-neutral acquisition knob no
+        longer exists on the engine or its facades."""
+        with pytest.raises(TypeError):
+            StepEngine(trained_pipeline, sensing="stacked")
+        with pytest.raises(TypeError):
+            FleetSimulator(trained_pipeline, sensing="stacked")
 
     def test_rejects_window_shorter_than_step(self, trained_pipeline):
         with pytest.raises(ValueError):
@@ -68,13 +71,7 @@ class TestEngineValidation:
 
 
 class TestExecutionStrategyEquivalence:
-    """All execution strategies must agree bit for bit."""
-
-    def test_stacked_sensing_matches_per_device(self, trained_pipeline, population):
-        stacked = FleetSimulator(trained_pipeline, sensing="stacked").run(population)
-        scalar = FleetSimulator(trained_pipeline, sensing="per_device").run(population)
-        for left, right in zip(stacked.traces, scalar.traces):
-            assert traces_equal(left, right)
+    """The engine must agree bit for bit with the reference loop."""
 
     def test_incremental_batched_matches_sequential(
         self, trained_pipeline, population
@@ -86,9 +83,7 @@ class TestExecutionStrategyEquivalence:
             assert traces_equal(left, right)
 
     def test_exact_batched_matches_sequential(self, trained_pipeline, population):
-        simulator = FleetSimulator(
-            trained_pipeline, features="exact", sensing="per_device"
-        )
+        simulator = FleetSimulator(trained_pipeline, features="exact")
         batched = simulator.run(population)
         sequential = simulator.run_sequential(population)
         for left, right in zip(batched.traces, sequential.traces):
@@ -183,7 +178,7 @@ class TestStackedSensing:
 
         for noise in ("per_device", "batched"):
             tables = StackedEvaluationCache(len(sensors))
-            rngs, reference_rngs, one_shot_rngs = streams(), streams(), streams()
+            rngs, reference_rngs = streams(), streams()
             bank = NoiseBank.from_rngs(rngs)
             reference_bank = NoiseBank.from_rngs(reference_rngs)
             source = {"noise_bank": bank} if noise == "batched" else {"rngs": rngs}
@@ -208,14 +203,6 @@ class TestStackedSensing:
                         sensor.read_window(end, 1.0, config, rng=rng)
                         for sensor, rng in zip(sensors, reference_rngs)
                     ]
-                    # The one-shot public spelling reads the same values.
-                    one_shot = read_windows_stacked(
-                        sensors, end, 1.0, config, one_shot_rngs
-                    )
-                    for window, reference in zip(one_shot, references):
-                        np.testing.assert_array_equal(
-                            window.samples, reference.samples
-                        )
                 for index, reference in enumerate(references):
                     np.testing.assert_array_equal(stack[index], reference.samples)
                     np.testing.assert_array_equal(times, reference.times_s)
@@ -231,13 +218,21 @@ class TestStackedSensing:
         ]
         rngs = [np.random.default_rng(seed) for seed in range(2)]
         with pytest.raises(ValueError, match="internal conversion rate"):
-            read_windows_stacked(sensors, 1.0, 1.0, HIGH_POWER_CONFIG, rngs)
+            read_windows_stacked_raw(
+                [signal, signal], 1.0, 1.0, HIGH_POWER_CONFIG,
+                rows=np.arange(2), statics=SensorStatics(sensors),
+                tables=StackedEvaluationCache(2), rngs=rngs,
+            )
 
     def test_mismatched_rngs_rejected(self):
         signal = ScheduledSignal(make_fig5_schedule(2.0, 2.0), seed=0)
         sensor = SimulatedAccelerometer(signal=signal, seed=0)
         with pytest.raises(ValueError):
-            read_windows_stacked([sensor], 1.0, 1.0, HIGH_POWER_CONFIG, [])
+            read_windows_stacked_raw(
+                [signal], 1.0, 1.0, HIGH_POWER_CONFIG,
+                rows=np.arange(1), statics=SensorStatics([sensor]),
+                tables=StackedEvaluationCache(1), rngs=[],
+            )
 
     def test_signal_tables_match_per_realization_loop(self):
         generator = SyntheticSignalGenerator(seed=5)
@@ -297,4 +292,4 @@ class TestClosedLoopFacade:
             pipeline=trained_pipeline, controller=SpotController()
         )
         assert simulator.engine.features == "incremental"
-        assert simulator.engine.sensing == "stacked"
+        assert simulator.engine.controllers == "bank"

@@ -10,7 +10,7 @@ The layer's contract has three parts, each pinned here:
 * **Bit-identity within the mode** — a batched-noise run produces
   exactly the same traces for every engine spelling (batched fleet,
   per-device sequential, sharded with any shard count) and for every
-  ``features``/``sensing``/``controllers`` combination, because each
+  ``features``/``controllers`` combination, because each
   device's noise is a pure function of its own seed.
 * **Statistical equivalence across modes** — batched noise comes from
   a different generator family than per-device noise, so traces
@@ -91,13 +91,8 @@ class TestBitIdentityWithinMode:
         )
         recipes = (
             dict(features="exact"),
-            dict(sensing="per_device"),
             dict(controllers="per_object"),
-            dict(
-                features="exact",
-                sensing="per_device",
-                controllers="per_object",
-            ),
+            dict(features="exact", controllers="per_object"),
         )
         for recipe in recipes:
             if recipe.get("features") == "exact":
