@@ -36,6 +36,13 @@ from repro.core.config import intern_config_table
 from repro.fleet.population import CONTROLLER_KINDS, ControllerSpec, DeviceProfile
 from repro.utils.validation import check_probability
 
+#: Controller kinds a grid may force fleet-wide.  ``intensity`` is not
+#: one: its thresholds are calibrated per population, so a grid value
+#: cannot supply them.
+GRID_KINDS: Tuple[str, ...] = tuple(
+    kind for kind in CONTROLLER_KINDS if kind != "intensity"
+)
+
 #: ControllerSpec fields a campaign variant may override.
 OVERRIDABLE_FIELDS: Tuple[str, ...] = (
     "kind",
@@ -203,9 +210,14 @@ def check_axis_value(field_name: str, value):
     it; raises :class:`ValueError` for a value no device could run.
     """
     if field_name == "kind":
-        if value not in CONTROLLER_KINDS:
+        if value == "intensity":
             raise ValueError(
-                f"controller kind must be one of {CONTROLLER_KINDS}, got {value!r}"
+                "controller kind 'intensity' cannot be forced by a grid: "
+                "its thresholds are calibrated per population"
+            )
+        if value not in GRID_KINDS:
+            raise ValueError(
+                f"controller kind must be one of {GRID_KINDS}, got {value!r}"
             )
         return str(value)
     if field_name == "stability_threshold":

@@ -443,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--kinds", default=None, metavar="K1,K2,...",
         type=_grid_axis("kind", str),
-        help="controller kinds to force fleet-wide "
-             "(comma-separated, e.g. spot,spot_confidence)",
+        help="controller kinds to force fleet-wide (comma-separated; "
+             "any of spot, spot_confidence, static)",
     )
     campaign_parser.add_argument(
         "--tables", default=None, metavar="N1+N2,...",

@@ -33,7 +33,6 @@ from repro.exec.resilience import (
     RetryPolicy,
     ShardExecutionError,
     ShardSupervisor,
-    SupervisorStats,
 )
 
 __all__ = [
@@ -55,7 +54,6 @@ __all__ = [
     "ShardExecutionError",
     "ShardSupervisor",
     "StepEngine",
-    "SupervisorStats",
     "ShardedFleetRun",
     "ShardedFleetSimulator",
 ]

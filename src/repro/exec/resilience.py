@@ -13,16 +13,18 @@ built on raw :class:`multiprocessing.Process` workers:
   payloads) are retried with exponential backoff up to a configurable
   budget, with an optional in-process last-resort attempt;
 * a shard that exhausts every attempt raises a clean
-  :class:`ShardExecutionError` naming the shard, the attempt count and
-  (when a monitor with a flight recorder is attached) the crash dump;
-* workers can interleave in-flight ``("event", payload)`` messages —
-  heartbeats, round starts, checkpoints — with the terminal
-  ``("ok", ...)`` / ``("error", ...)`` result protocol on the same
-  pipe; the supervisor forwards them to an optional run monitor
-  (:class:`repro.obs.live.RunMonitor`) without disturbing supervision;
-* failures are observable: the supervisor counts ``shard.retries`` /
-  ``shard.failures`` / ``shard.timeouts`` / ``shard.corrupt_payloads``
-  on the coordinator's :class:`repro.obs.metrics.MetricsRegistry`.
+  :class:`ShardExecutionError` naming the shard and the attempt count;
+* the supervisor keeps no books of its own.  It reports one event
+  stream — the ``repro.live/v1`` lifecycle — to a single
+  ``on_event(shard, attempt, event)`` sink: its own ``launch`` /
+  ``attempt_failure`` / ``shard_complete`` events, and the worker
+  events (``attempt_start``, ``round_start``, ``heartbeat``,
+  ``checkpoint``) that workers interleave as ``("event", payload)``
+  messages with the terminal ``("ok", ...)`` / ``("error", ...)``
+  result on the same pipe.  Retry, failure, timeout and attempt
+  figures, the ``shard.*`` counters, live progress and the flight
+  recorder are all folds over that stream
+  (:class:`repro.obs.live.RunMonitor`).
 
 Because every recovery path must be testable in CI, the module also
 provides a deterministic :class:`FaultInjector` driven by a parsed
@@ -33,23 +35,22 @@ function of ``(kind, shard, round, attempt)``, so a fault schedule
 replays identically on every run.
 
 The supervisor is deliberately agnostic of what a "shard" computes: it
-runs ``worker(payload, attempt)`` callables and hands back their return
-values in task order.  Round-based checkpointing lives in the worker
-(see :mod:`repro.exec.sharding`); the attempt index threaded through
-here is what lets a retried worker resume from its checkpoint.
+runs ``worker(payload, attempt, emit)`` callables and hands back their
+return values in task order.  Round-based checkpointing lives in the
+worker (see :mod:`repro.exec.sharding`); the attempt index threaded
+through here is what lets a retried worker resume from its checkpoint.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import multiprocessing
 import multiprocessing.connection
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
-
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "FaultInjector",
@@ -60,7 +61,6 @@ __all__ = [
     "RetryPolicy",
     "ShardExecutionError",
     "ShardSupervisor",
-    "SupervisorStats",
 ]
 
 _LOGGER = logging.getLogger("repro.exec.resilience")
@@ -100,9 +100,9 @@ class ShardExecutionError(RuntimeError):
     last_error:
         Human-readable description of the final attempt's failure.
     flight_path:
-        Path of the shard's newest flight-recorder dump, when a run
-        monitor with a flight directory was attached (``None``
-        otherwise) — the artifact to open first when debugging.
+        Path of the shard's newest flight-recorder dump, when the
+        coordinator's run monitor recorded one (``None`` otherwise) —
+        the artifact to open first when debugging.
     """
 
     def __init__(
@@ -402,65 +402,29 @@ class FaultInjector:
 # ----------------------------------------------------------------------
 # Supervision
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class SupervisorStats:
-    """Aggregate outcome bookkeeping of one supervised run.
-
-    Attributes
-    ----------
-    attempts:
-        Attempts consumed per task (1 = first try succeeded), in task
-        order.
-    retries:
-        Re-attempts scheduled across all tasks (including inline
-        last-resort attempts).
-    failures:
-        Failed attempts across all tasks (worker deaths, raised
-        exceptions, timeouts and corrupt payloads all count).
-    timeouts:
-        Attempts terminated for exceeding the per-shard timeout.
-    corrupt_payloads:
-        Results rejected by the validation hook.
-    used_processes:
-        Whether any attempt ran in a worker process.
-    """
-
-    attempts: Tuple[int, ...]
-    retries: int
-    failures: int
-    timeouts: int
-    corrupt_payloads: int
-    used_processes: bool
-
-
 def _supervised_entry(
     worker: Callable[..., Any],
     payload: Any,
     attempt: int,
     conn: multiprocessing.connection.Connection,
-    send_events: bool = False,
 ) -> None:
     """Process entry point: run the worker, ship outcome over the pipe.
 
-    With ``send_events`` the worker receives an ``emit`` callable that
-    ships ``("event", payload)`` messages over the same pipe, ahead of
-    the terminal ``("ok", ...)`` / ``("error", ...)`` message — the
-    in-flight heartbeat channel the supervisor's event loop folds into
-    its run monitor.  Emission is best-effort: a closed pipe must never
-    take the simulation down.
+    The worker's ``emit`` callable ships ``("event", payload)`` messages
+    over the same pipe, ahead of the terminal ``("ok", ...)`` /
+    ``("error", ...)`` message; the supervisor's event loop forwards
+    them to its sink.  Emission is best-effort: a closed pipe must
+    never take the simulation down.
     """
+
+    def emit(event: Any) -> None:
+        try:
+            conn.send(("event", event))
+        except Exception:  # noqa: BLE001 - monitoring only
+            pass
+
     try:
-        if send_events:
-
-            def emit(event: Any) -> None:
-                try:
-                    conn.send(("event", event))
-                except Exception:  # noqa: BLE001 - monitoring only
-                    pass
-
-            result = worker(payload, attempt, emit)
-        else:
-            result = worker(payload, attempt)
+        result = worker(payload, attempt, emit)
     except BaseException as exc:  # noqa: BLE001 - forwarded to supervisor
         try:
             conn.send(("error", f"{type(exc).__name__}: {exc}"))
@@ -508,187 +472,139 @@ class ShardSupervisor:
     Parameters
     ----------
     worker:
-        ``worker(payload, attempt) -> result`` callable.  Must be
+        ``worker(payload, attempt, emit) -> result`` callable.  Must be
         picklable (a module-level function) so spawn-based contexts can
-        ship it to worker processes.
+        ship it to worker processes.  ``emit(event)`` forwards one
+        in-flight event dict to ``on_event``.
+    on_event:
+        ``on_event(shard, attempt, event)`` sink for the run's one event
+        stream.  The supervisor reports each of its own lifecycle
+        events once — ``launch`` (with ``inline``), ``attempt_failure``
+        (with ``kind``: ``died`` / ``error`` / ``timeout`` /
+        ``corrupt``, and ``reason``) and ``shard_complete`` (with
+        ``attempts``) — and forwards worker events unchanged.
+        Retries, failures, timeouts, attempts and whether worker
+        processes ran are folds over this stream
+        (:class:`repro.obs.live.RunMonitor`).
     policy:
         The :class:`RetryPolicy`; defaults to ``RetryPolicy()``.
     validate:
         Optional hook called with every successful result; raise
         :class:`PayloadCorruptionError` to reject it and trigger a
         retry.
-    metrics:
-        Optional coordinator :class:`MetricsRegistry` receiving the
-        ``shard.retries`` / ``shard.failures`` / ``shard.timeouts`` /
-        ``shard.corrupt_payloads`` counters.
     inline_only:
         Run every attempt in the current process (no workers, no
         timeout enforcement).  Used for single-shard runs, which never
         paid process overhead historically, and as the global fallback
         when the platform cannot spawn processes at all.
-    monitor:
-        Optional live-run monitor (duck-typed after
-        :class:`repro.obs.live.RunMonitor`).  When set, workers are
-        invoked as ``worker(payload, attempt, emit)`` and their emitted
-        events are interleaved with the result protocol and forwarded
-        to ``monitor.handle_event``; the supervisor additionally calls
-        ``on_attempt_start`` / ``on_attempt_failure`` /
-        ``on_task_complete`` and consults ``flight_path`` when raising
-        :class:`ShardExecutionError`.  Every monitor call is
-        exception-guarded: monitoring may degrade, execution may not.
     """
 
     def __init__(
         self,
         worker: Callable[..., Any],
+        on_event: Callable[[int, int, Dict[str, Any]], None],
         policy: Optional[RetryPolicy] = None,
         validate: Optional[Callable[[Any], None]] = None,
-        metrics: Optional[MetricsRegistry] = None,
         inline_only: bool = False,
-        monitor: Optional[Any] = None,
     ) -> None:
         self._worker = worker
+        self._on_event = on_event
         self._policy = policy if policy is not None else RetryPolicy()
         self._validate = validate
-        self._metrics = metrics
         self._inline_only = inline_only
-        self._monitor = monitor
-        self._retries = 0
-        self._failures = 0
-        self._timeouts = 0
-        self._corrupt = 0
 
-    # -- counter helpers ------------------------------------------------
-    def _count(self, name: str) -> None:
-        if self._metrics is not None and self._metrics.enabled:
-            self._metrics.count(name)
+    # -- lifecycle events -----------------------------------------------
+    def _launched(self, task_index: int, attempt: int, inline: bool) -> None:
+        self._on_event(
+            task_index,
+            attempt,
+            {
+                "event": "launch",
+                "shard": task_index,
+                "attempt": attempt,
+                "inline": inline,
+            },
+        )
 
-    def _note_failure(
-        self, task_index: int, attempt: int, reason: str, kind: str = "error"
+    def _failed(
+        self, task_index: int, attempt: int, reason: str, kind: str
     ) -> None:
-        self._failures += 1
-        self._count("shard.failures")
         _LOGGER.warning(
             "shard %d attempt %d failed: %s", task_index, attempt, reason
         )
-        self._notify("on_attempt_failure", task_index, attempt, kind, reason)
+        self._on_event(
+            task_index,
+            attempt,
+            {
+                "event": "attempt_failure",
+                "shard": task_index,
+                "attempt": attempt,
+                "kind": kind,
+                "reason": reason,
+            },
+        )
 
-    # -- monitor plumbing ------------------------------------------------
-    def _notify(self, hook: str, *args: Any) -> None:
-        """Call a monitor hook, swallowing (but logging) its failures."""
-        if self._monitor is None:
-            return
-        method = getattr(self._monitor, hook, None)
-        if method is None:
-            return
-        try:
-            method(*args)
-        except Exception:  # noqa: BLE001 - monitoring must not fail runs
-            _LOGGER.exception("run monitor hook %s failed", hook)
-
-    def _dispatch_event(self, task_index: int, attempt: int, event: Any) -> None:
-        """Forward one in-flight worker event to the monitor."""
-        self._notify("handle_event", task_index, attempt, event)
-
-    def _inline_emit(self, task_index: int, attempt: int):
-        """The ``emit`` callable handed to inline worker attempts."""
-        if self._monitor is None:
-            return None
-
-        def emit(event: Any) -> None:
-            self._dispatch_event(task_index, attempt, event)
-
-        return emit
-
-    def _flight_path(self, task_index: int) -> Optional[str]:
-        if self._monitor is None:
-            return None
-        method = getattr(self._monitor, "flight_path", None)
-        if method is None:
-            return None
-        try:
-            return method(task_index)
-        except Exception:  # noqa: BLE001 - monitoring must not fail runs
-            _LOGGER.exception("run monitor flight_path failed")
-            return None
+    def _completed(self, task_index: int, attempt: int) -> None:
+        self._on_event(
+            task_index,
+            attempt,
+            {
+                "event": "shard_complete",
+                "shard": task_index,
+                "attempts": attempt + 1,
+            },
+        )
 
     # -- public API -----------------------------------------------------
-    def run(self, payloads: Sequence[Any]) -> Tuple[List[Any], SupervisorStats]:
+    def run(self, payloads: Sequence[Any]) -> List[Any]:
         """Run every payload to completion (or raise).
 
-        Returns results in task order plus the run's
-        :class:`SupervisorStats`.  Raises :class:`ShardExecutionError`
-        as soon as any shard exhausts its attempt budget; remaining
-        workers are terminated first.
+        Returns results in task order.  Raises
+        :class:`ShardExecutionError` as soon as any shard exhausts its
+        attempt budget; remaining workers are terminated first.
         """
-        self._retries = self._failures = self._timeouts = self._corrupt = 0
         tasks = list(payloads)
-        results: List[Any] = [None] * len(tasks)
-        attempts_used = [0] * len(tasks)
-        if not tasks:
-            return results, self._stats(attempts_used, used_processes=False)
         if self._inline_only:
-            for index, payload in enumerate(tasks):
-                results[index], attempts_used[index] = self._run_task_inline(
-                    index, payload
-                )
-            return results, self._stats(attempts_used, used_processes=False)
-        used = self._run_supervised(tasks, results, attempts_used)
-        return results, self._stats(attempts_used, used_processes=used)
-
-    def _stats(
-        self, attempts_used: List[int], used_processes: bool
-    ) -> SupervisorStats:
-        return SupervisorStats(
-            attempts=tuple(attempts_used),
-            retries=self._retries,
-            failures=self._failures,
-            timeouts=self._timeouts,
-            corrupt_payloads=self._corrupt,
-            used_processes=used_processes,
-        )
+            return [
+                self._run_task_inline(index, payload)
+                for index, payload in enumerate(tasks)
+            ]
+        results: List[Any] = [None] * len(tasks)
+        if tasks:
+            self._run_supervised(tasks, results)
+        return results
 
     # -- inline path ----------------------------------------------------
     def _attempt_inline(self, task_index: int, payload: Any, attempt: int):
         """One inline attempt.  Returns ``(ok, result_or_reason, kind)``."""
-        self._notify("on_attempt_start", task_index, attempt, True)
-        emit = self._inline_emit(task_index, attempt)
+        self._launched(task_index, attempt, inline=True)
+        emit = functools.partial(self._on_event, task_index, attempt)
         try:
-            if emit is not None:
-                result = self._worker(payload, attempt, emit)
-            else:
-                result = self._worker(payload, attempt)
+            result = self._worker(payload, attempt, emit)
             if self._validate is not None:
                 self._validate(result)
         except PayloadCorruptionError as exc:
-            self._corrupt += 1
-            self._count("shard.corrupt_payloads")
             return False, f"{type(exc).__name__}: {exc}", "corrupt"
         except Exception as exc:  # noqa: BLE001 - retried below
             return False, f"{type(exc).__name__}: {exc}", "error"
         return True, result, "ok"
 
-    def _run_task_inline(self, task_index: int, payload: Any) -> Tuple[Any, int]:
+    def _run_task_inline(self, task_index: int, payload: Any) -> Any:
         """Run one task fully inline with the policy's retry budget."""
         total_attempts = 1 + self._policy.max_retries
         last_reason = "unknown"
         for attempt in range(total_attempts):
             if attempt > 0:
-                self._retries += 1
-                self._count("shard.retries")
                 backoff = self._policy.backoff_s(attempt - 1)
                 if backoff > 0.0:
                     time.sleep(backoff)
             ok, outcome, kind = self._attempt_inline(task_index, payload, attempt)
             if ok:
-                self._notify("on_task_complete", task_index, attempt + 1)
-                return outcome, attempt + 1
+                self._completed(task_index, attempt)
+                return outcome
             last_reason = outcome
-            self._note_failure(task_index, attempt, outcome, kind)
-        raise ShardExecutionError(
-            task_index, total_attempts, last_reason,
-            flight_path=self._flight_path(task_index),
-        )
+            self._failed(task_index, attempt, outcome, kind)
+        raise ShardExecutionError(task_index, total_attempts, last_reason)
 
     # -- supervised (process) path --------------------------------------
     def _context(self):
@@ -705,10 +621,7 @@ class ShardSupervisor:
         receiver, sender = context.Pipe(duplex=False)
         process = context.Process(
             target=_supervised_entry,
-            args=(
-                self._worker, payload, entry.attempt, sender,
-                self._monitor is not None,
-            ),
+            args=(self._worker, payload, entry.attempt, sender),
             daemon=True,
         )
         try:
@@ -722,7 +635,7 @@ class ShardSupervisor:
         entry.conn = receiver
         if self._policy.shard_timeout_s is not None:
             entry.deadline = time.monotonic() + self._policy.shard_timeout_s
-        self._notify("on_attempt_start", entry.task_index, entry.attempt, False)
+        self._launched(entry.task_index, entry.attempt, inline=False)
 
     def _reap(self, entry: _Attempt) -> None:
         """Terminate and clean up an attempt's process, if any."""
@@ -748,8 +661,6 @@ class ShardSupervisor:
         """
         next_attempt = entry.attempt + 1
         if entry.attempt < self._policy.max_retries:
-            self._retries += 1
-            self._count("shard.retries")
             pending.append(
                 _Attempt(
                     entry.task_index,
@@ -759,8 +670,6 @@ class ShardSupervisor:
             )
             return None
         if not entry.inline and self._policy.inline_last_resort:
-            self._retries += 1
-            self._count("shard.retries")
             _LOGGER.warning(
                 "shard %d: process attempts exhausted, falling back inline",
                 entry.task_index,
@@ -771,12 +680,7 @@ class ShardSupervisor:
             return None
         return entry.task_index, next_attempt, reason
 
-    def _run_supervised(
-        self,
-        tasks: List[Any],
-        results: List[Any],
-        attempts_used: List[int],
-    ) -> bool:
+    def _run_supervised(self, tasks: List[Any], results: List[Any]) -> None:
         policy = self._policy
         context = self._context()
         max_workers = min(len(tasks), os.cpu_count() or 1)
@@ -784,7 +688,6 @@ class ShardSupervisor:
             _Attempt(index, 0) for index in range(len(tasks))
         ]
         running: Dict[Any, _Attempt] = {}
-        used_processes = False
         inline_mode = False
         fatal: Optional[Tuple[int, int, str]] = None
 
@@ -792,7 +695,7 @@ class ShardSupervisor:
             entry: _Attempt, reason: str, now: float, kind: str = "error"
         ) -> None:
             nonlocal fatal
-            self._note_failure(entry.task_index, entry.attempt, reason, kind)
+            self._failed(entry.task_index, entry.attempt, reason, kind)
             exhausted = self._schedule_retry(entry, pending, now, reason)
             if exhausted is not None and fatal is None:
                 fatal = exhausted
@@ -802,16 +705,11 @@ class ShardSupervisor:
                 if self._validate is not None:
                     self._validate(result)
             except PayloadCorruptionError as exc:
-                self._corrupt += 1
-                self._count("shard.corrupt_payloads")
                 fail_attempt(entry, f"{type(exc).__name__}: {exc}", now,
                              kind="corrupt")
                 return
             results[entry.task_index] = result
-            attempts_used[entry.task_index] = entry.attempt + 1
-            self._notify(
-                "on_task_complete", entry.task_index, entry.attempt + 1
-            )
+            self._completed(entry.task_index, entry.attempt)
 
         try:
             while (pending or running) and fatal is None:
@@ -833,11 +731,7 @@ class ShardSupervisor:
                         now = time.monotonic()
                         if ok:
                             results[entry.task_index] = outcome
-                            attempts_used[entry.task_index] = entry.attempt + 1
-                            self._notify(
-                                "on_task_complete",
-                                entry.task_index, entry.attempt + 1,
-                            )
+                            self._completed(entry.task_index, entry.attempt)
                         else:
                             entry.inline = True
                             fail_attempt(entry, outcome, now, kind)
@@ -858,7 +752,6 @@ class ShardSupervisor:
                         inline_mode = True
                         pending.append(entry)
                         continue
-                    used_processes = True
                     running[entry.conn] = entry
                 if fatal is not None or (not pending and not running):
                     break
@@ -894,12 +787,10 @@ class ShardSupervisor:
                     except (EOFError, OSError):
                         kind, value = "died", None
                     if kind == "event":
-                        # In-flight heartbeat/progress message: fold it
-                        # and keep the attempt registered — only the
-                        # terminal ok/error/death messages retire it.
-                        self._dispatch_event(
-                            entry.task_index, entry.attempt, value
-                        )
+                        # In-flight worker event: forward it and keep the
+                        # attempt registered — only the terminal
+                        # ok/error/death messages retire it.
+                        self._on_event(entry.task_index, entry.attempt, value)
                         continue
                     del running[conn]
                     self._reap(entry)
@@ -920,8 +811,6 @@ class ShardSupervisor:
                     if entry.deadline is not None and now >= entry.deadline:
                         del running[conn]
                         self._reap(entry)
-                        self._timeouts += 1
-                        self._count("shard.timeouts")
                         fail_attempt(
                             entry,
                             f"timed out after {policy.shard_timeout_s} s",
@@ -932,9 +821,4 @@ class ShardSupervisor:
             for entry in running.values():
                 self._reap(entry)
         if fatal is not None:
-            task_index, attempts, reason = fatal
-            raise ShardExecutionError(
-                task_index, attempts, reason,
-                flight_path=self._flight_path(task_index),
-            )
-        return used_processes
+            raise ShardExecutionError(*fatal)

@@ -35,7 +35,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing
 
@@ -47,6 +47,7 @@ from repro.exec.resilience import (
     FaultPlan,
     PayloadCorruptionError,
     RetryPolicy,
+    ShardExecutionError,
     ShardSupervisor,
 )
 from repro.fleet.engine import FleetResult, FleetSimulator, resolve_fleet_duration
@@ -112,7 +113,7 @@ def _load_latest_checkpoint(directory: Path, logger) -> Optional[dict]:
 
 
 def _run_shard_attempt(
-    task: _ShardTask, attempt: int, emit=None
+    task: _ShardTask, attempt: int, emit: Callable[[dict], None]
 ) -> Tuple[int, FleetResult, FleetTelemetry, Optional[MetricsSnapshot]]:
     """Simulate one shard attempt (worker process or inline).
 
@@ -123,14 +124,14 @@ def _run_shard_attempt(
     bit-identical to an uninterrupted run because the engine's
     segmented runs are (pinned by the resilience tests).
 
-    ``emit`` (injected by the supervisor when a run monitor is
-    attached) ships in-flight events back over the result pipe: attempt
-    and round starts, checkpoints, and — when ``task.heartbeat_steps``
-    is set — periodic heartbeats, for which rounds are sub-segmented at
-    the heartbeat cadence.  Sub-segmentation reuses the engine's
-    segmented-run path, so a monitored run's traces stay bit-identical;
-    fault injection and checkpointing still happen only at round
-    boundaries, so recovery semantics are unchanged too.
+    ``emit`` (injected by the supervisor) ships in-flight events back
+    over the result pipe: attempt and round starts, checkpoints, and —
+    when ``task.heartbeat_steps`` is set — periodic heartbeats, for
+    which rounds are sub-segmented at the heartbeat cadence.
+    Sub-segmentation reuses the engine's segmented-run path, so a
+    monitored run's traces stay bit-identical; fault injection and
+    checkpointing still happen only at round boundaries, so recovery
+    semantics are unchanged too.
     """
     in_worker = multiprocessing.parent_process() is not None
     if in_worker:
@@ -147,7 +148,7 @@ def _run_shard_attempt(
         else None
     )
     recorder = metrics if metrics is not None else NULL_RECORDER
-    beat_steps = task.heartbeat_steps if emit is not None else None
+    beat_steps = task.heartbeat_steps
     # Heartbeats carry per-phase span deltas.  An unmetered monitored
     # run taps them through a private registry that feeds the engine's
     # spans but is never returned in the outcome, so the reported
@@ -210,18 +211,17 @@ def _run_shard_attempt(
         "simulating %d devices (%d/%d steps done, attempt %d)",
         len(task.profiles), steps_done, num_steps, attempt,
     )
-    if emit is not None:
-        emit(
-            {
-                "event": "attempt_start",
-                "shard": task.shard_index,
-                "attempt": attempt,
-                "steps_done": steps_done,
-                "num_steps": num_steps,
-                "devices": len(task.profiles),
-                "round_steps": round_steps,
-            }
-        )
+    emit(
+        {
+            "event": "attempt_start",
+            "shard": task.shard_index,
+            "attempt": attempt,
+            "steps_done": steps_done,
+            "num_steps": num_steps,
+            "devices": len(task.profiles),
+            "round_steps": round_steps,
+        }
+    )
     phase_prev: Dict[str, float] = (
         engine_metrics.phase_totals()
         if beat_steps is not None and engine_metrics is not None
@@ -237,16 +237,15 @@ def _run_shard_attempt(
         # consults the fault injector exactly once, heartbeats or not.
         if steps_done % round_steps == 0:
             round_index = steps_done // round_steps
-            if emit is not None:
-                emit(
-                    {
-                        "event": "round_start",
-                        "shard": task.shard_index,
-                        "attempt": attempt,
-                        "round": round_index,
-                        "steps_done": steps_done,
-                    }
-                )
+            emit(
+                {
+                    "event": "round_start",
+                    "shard": task.shard_index,
+                    "attempt": attempt,
+                    "round": round_index,
+                    "steps_done": steps_done,
+                }
+            )
             if injector is not None:
                 injector.on_round(task.shard_index, round_index, attempt)
         round_end = min(
@@ -310,17 +309,16 @@ def _run_shard_attempt(
                 engine._metrics = saved_metrics
             recorder.count("checkpoint.saves")
             recorder.count("checkpoint.bytes", written)
-            if emit is not None:
-                emit(
-                    {
-                        "event": "checkpoint",
-                        "shard": task.shard_index,
-                        "attempt": attempt,
-                        "rounds_done": rounds_done,
-                        "steps_done": steps_done,
-                        "bytes": written,
-                    }
-                )
+            emit(
+                {
+                    "event": "checkpoint",
+                    "shard": task.shard_index,
+                    "attempt": attempt,
+                    "rounds_done": rounds_done,
+                    "steps_done": steps_done,
+                    "bytes": written,
+                }
+            )
             stale = sorted(ckpt_dir.glob("round_*.ckpt"))[:-KEPT_CHECKPOINTS]
             for path in stale:
                 path.unlink(missing_ok=True)
@@ -362,11 +360,6 @@ def _run_shard_attempt(
     )
 
 
-def _run_shard(payload):
-    """Single-attempt worker entry kept for API compatibility."""
-    return _run_shard_attempt(payload, 0)
-
-
 @dataclass(frozen=True)
 class ShardedFleetRun:
     """Outcome of one sharded fleet simulation.
@@ -398,7 +391,9 @@ class ShardedFleetRun:
         Attempts each shard consumed, in shard order (all ``1`` on a
         fault-free run).
     retries:
-        Shard re-attempts across the whole run.
+        Shard re-attempts across the whole run.  A completed run
+        retried every failed attempt, so this always equals
+        ``failures``.
     failures:
         Failed shard attempts across the whole run (worker deaths,
         raised exceptions, timeouts and corrupt payloads).
@@ -406,9 +401,13 @@ class ShardedFleetRun:
         Attempts terminated for exceeding the per-shard timeout.
     stragglers:
         Shards still flagged by the run monitor's online straggler
-        detector when the run finished (``()`` when unmonitored or
+        detector when the run finished (``()`` without heartbeats or
         when every shard kept pace) — the hook a future elastic
         rebalancer consumes.
+
+    ``used_processes`` and the five fields above are read from the
+    run's :class:`repro.obs.live.RunMonitor` fold over the supervisor's
+    event stream.
     """
 
     result: FleetResult
@@ -480,9 +479,11 @@ class ShardedFleetSimulator:
         the coordinator's ``trace_events`` setting), the coordinator
         records shard heartbeats (``shard.elapsed_s`` /
         ``shard.devices`` histograms, ``shard.count`` gauge) plus the
-        failure counters (``shard.retries`` / ``shard.failures`` /
-        ``shard.timeouts`` / ``shard.corrupt_payloads``), and
-        :attr:`ShardedFleetRun.metrics` carries the merged snapshot.
+        counters of its run monitor's fold (``shard.retries`` /
+        ``shard.failures`` / ``shard.timeouts`` /
+        ``shard.corrupt_payloads``, ``heartbeat.*``, ``straggler.*``,
+        ``flight.*``), and :attr:`ShardedFleetRun.metrics` carries the
+        merged snapshot.
         Merging is associative and shard-count invariant for every
         device-attributable metric on fault-free runs; runs that
         recovered from faults may repeat or resume engine work, so
@@ -521,10 +522,12 @@ class ShardedFleetSimulator:
         ``REPRO_FAULT_PLAN`` environment variable.  Injected faults are
         deterministic, so chaos runs replay identically.
     monitor:
-        Optional :class:`repro.obs.live.RunMonitor`.  When given, shard
-        workers emit in-flight heartbeats (progress, device-steps/s,
-        per-phase span deltas, RSS) at the monitor's cadence and the
-        coordinator folds them into live progress/ETA, straggler flags
+        Optional :class:`repro.obs.live.RunMonitor`, the fold over the
+        supervisor's event stream.  Every run folds through one; without
+        this argument it is a default monitor with no watch line, no
+        NDJSON and no heartbeats.  With heartbeats, shard workers emit
+        progress, device-steps/s, per-phase span deltas and RSS at the
+        monitor's cadence, which feed live progress/ETA, straggler flags
         (:attr:`ShardedFleetRun.stragglers`) and the monitor's
         ``--watch`` / NDJSON outputs.  Monitored runs stay bit-identical
         to unmonitored ones: heartbeat pacing only re-segments the
@@ -534,9 +537,8 @@ class ShardedFleetSimulator:
         for runs through this simulator.
     flight_dir:
         Directory for flight-recorder crash dumps.  Defaults to
-        ``checkpoint_dir`` when one is set; checkpointed runs therefore
-        get crash dumps even without an explicit monitor, via an
-        internal flight-only monitor (no heartbeats, no watch line).
+        ``checkpoint_dir`` when one is set, so checkpointed runs get
+        crash dumps even without an explicit monitor.
     """
 
     def __init__(
@@ -772,26 +774,18 @@ class ShardedFleetSimulator:
 
         collect_metrics = self._metrics is not None and self._metrics.enabled
         trace_events = bool(self._metrics.trace_events) if collect_metrics else False
-        # Resolve the live-telemetry plane.  An explicit monitor gets
-        # heartbeats at its (or the simulator's) cadence; checkpointed
-        # runs without one still get a silent flight-only monitor, so
-        # chaos failures always leave crash dumps next to the
-        # checkpoints.
-        monitor = self._monitor
+        # Every run folds its event stream through a monitor; checkpointed
+        # runs record flight rings, so chaos failures always leave crash
+        # dumps next to the checkpoints.
+        monitor = (
+            self._monitor
+            if self._monitor is not None
+            else RunMonitor(heartbeat_s=None)
+        )
         flight_root = self._flight_dir or self._checkpoint_dir
-        if monitor is None and flight_root is not None:
-            monitor = RunMonitor(heartbeat_s=None, flight_dir=flight_root)
-        elif monitor is not None and flight_root is not None:
+        if flight_root is not None:
             monitor.ensure_flight_dir(flight_root)
-        heartbeat_steps: Optional[int] = None
-        if monitor is not None:
-            beat_s = (
-                self._heartbeat_s
-                if self._heartbeat_s is not None
-                else monitor.heartbeat_s
-            )
-            if beat_s is not None:
-                heartbeat_steps = max(1, int(round(float(beat_s) / step_s)))
+        heartbeat_steps = monitor.heartbeat_steps(step_s, self._heartbeat_s)
         start = time.perf_counter()
         tasks = [
             _ShardTask(
@@ -837,23 +831,26 @@ class ShardedFleetSimulator:
         )
         supervisor = ShardSupervisor(
             _run_shard_attempt,
+            monitor.handle,
             policy=self._policy,
             validate=validate,
-            metrics=self._metrics if collect_metrics else None,
             inline_only=inline_only,
-            monitor=monitor,
         )
-        if monitor is not None:
-            monitor.begin_run(
-                [len(shard) for shard in shards], num_steps, step_s
-            )
+        monitor.begin_run([len(shard) for shard in shards], num_steps, step_s)
         run_ok = False
         try:
-            outcomes, stats = supervisor.run(tasks)
+            outcomes = supervisor.run(tasks)
             run_ok = True
+        except ShardExecutionError as error:
+            flight_path = monitor.flight_path(error.shard_index)
+            if flight_path is None:
+                raise
+            raise ShardExecutionError(
+                error.shard_index, error.attempts, error.last_error,
+                flight_path=flight_path,
+            ) from None
         finally:
-            if monitor is not None:
-                monitor.end_run(run_ok)
+            monitor.end_run(run_ok)
         outcomes.sort(key=lambda outcome: outcome[0])
         traces = tuple(
             trace for _, result, _, _ in outcomes for trace in result.traces
@@ -883,13 +880,12 @@ class ShardedFleetSimulator:
             for (_, result, _, _), shard in zip(outcomes, shards):
                 self._metrics.observe("shard.elapsed_s", result.elapsed_s)
                 self._metrics.observe("shard.devices", float(len(shard)))
-            if monitor is not None:
-                # Fold the monitor-side live-telemetry counters
-                # (heartbeat.received, straggler.flags, flight.*) into
-                # the coordinator registry so they reach the merged
-                # snapshot and every exporter.
-                for name, value in sorted(monitor.counters.items()):
-                    self._metrics.count(name, value)
+            # Fold the event-stream counters (shard.retries and the
+            # other failure counts, heartbeat.received, straggler.flags,
+            # flight.*) into the coordinator registry so they reach the
+            # merged snapshot and every exporter.
+            for name, value in sorted(monitor.counters.items()):
+                self._metrics.count(name, value)
             merged_metrics = MetricsSnapshot.merge_all(
                 (self._metrics.snapshot(),) + shard_metrics
             )
@@ -897,13 +893,13 @@ class ShardedFleetSimulator:
             result=merged,
             telemetry=telemetry,
             shard_sizes=tuple(len(shard) for shard in shards),
-            used_processes=stats.used_processes,
+            used_processes=monitor.used_processes,
             shard_elapsed_s=shard_elapsed,
             shard_metrics=shard_metrics,
             metrics=merged_metrics,
-            shard_attempts=stats.attempts,
-            retries=stats.retries,
-            failures=stats.failures,
-            timeouts=stats.timeouts,
-            stragglers=monitor.stragglers() if monitor is not None else (),
+            shard_attempts=monitor.shard_attempts,
+            retries=monitor.retries,
+            failures=monitor.failures,
+            timeouts=monitor.timeouts,
+            stragglers=monitor.stragglers(),
         )

@@ -9,11 +9,12 @@ the sharded coordinator (:class:`~repro.obs.metrics.MetricsSnapshot`)
 and exporters (:mod:`repro.obs.export`) for JSON, Chrome trace-event
 timelines (Perfetto) and the Prometheus text exposition format.
 
-Since the live-telemetry PR the package also carries the *in-flight*
-plane: :mod:`repro.obs.live` (worker heartbeats, the coordinator-side
-:class:`~repro.obs.live.RunMonitor` with progress/ETA, stragglers, the
-``--watch`` line and the NDJSON event stream) and
-:mod:`repro.obs.flight` (the per-shard crash flight recorder).
+The package also carries the *in-flight* plane: :mod:`repro.obs.live`
+(worker heartbeats and the coordinator-side
+:class:`~repro.obs.live.RunMonitor`, the one fold over a supervised
+run's event stream: recovery figures, ``shard.*`` counters,
+progress/ETA, stragglers, the ``--watch`` line and the NDJSON file)
+and :mod:`repro.obs.flight` (the per-shard crash flight recorder).
 
 Everything is injectable and off by default: simulators take a
 ``metrics=`` recorder, and the :data:`~repro.obs.metrics.NULL_RECORDER`

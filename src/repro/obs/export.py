@@ -49,7 +49,8 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     "plan_cache.hits": "spectral plan cache hits",
     "plan_cache.misses": "spectral plan cache misses",
     "shard.rounds": "checkpoint rounds simulated across shard attempts",
-    "shard.retries": "shard attempts re-scheduled after a failure",
+    "shard.retries": "shard attempts re-launched after a failure "
+    "(equals shard.failures on a completed run)",
     "shard.failures": "failed shard attempts (death, error, timeout, corruption)",
     "shard.timeouts": "shard attempts terminated at the per-shard timeout",
     "shard.corrupt_payloads": "shard results rejected by payload validation",

@@ -3,15 +3,17 @@
 When a shard worker dies, hangs past its timeout, or returns a corrupt
 payload, the process is already gone — it cannot dump its own state.
 The :class:`FlightRecorder` therefore lives on the *coordinator* side
-of the result pipe: every in-flight event a worker ships (attempt
-starts, round starts, heartbeats, checkpoints) plus the supervisor's
-own lifecycle events (launches, retries, failures) is folded into a
-bounded per-shard ring, and when an attempt fails the ring is dumped as
-a small JSON artifact next to the checkpoints.  A chaos failure then
-leaves behind the last ~:data:`DEFAULT_RING_SIZE` things the shard did
-instead of just an exit code, and
+of the result pipe, as part of the :class:`repro.obs.live.RunMonitor`
+fold over the run's one ``repro.live/v1`` event stream: every event of
+a shard's lifecycle — the supervisor's launches and failures and the
+worker's attempt starts, round starts, heartbeats and checkpoints — is
+recorded into a bounded per-shard ring, and when an attempt fails the
+ring is dumped as a small JSON artifact next to the checkpoints.  A
+chaos failure then leaves behind the last ~:data:`DEFAULT_RING_SIZE`
+things the shard did instead of just an exit code, and
 :class:`repro.exec.resilience.ShardExecutionError` can point straight
-at the file.
+at the file.  The recorder keeps no tallies of its own: the monitor
+counts ``flight.events`` and ``flight.dumps``.
 
 The dump format is versioned (:data:`FLIGHT_SCHEMA`) and append-safe:
 one file per ``(shard, attempt)``, so a shard that fails several
@@ -63,8 +65,6 @@ class FlightRecorder:
         self._rings: Dict[int, Deque[Dict[str, object]]] = {}
         self._last_round: Dict[int, int] = {}
         self._last_dump: Dict[int, Path] = {}
-        self.events_recorded = 0
-        self.dumps_written = 0
 
     @property
     def directory(self) -> Path:
@@ -83,7 +83,6 @@ class FlightRecorder:
             ring = deque(maxlen=self._ring_size)
             self._rings[shard] = ring
         ring.append(dict(event))
-        self.events_recorded += 1
         if event.get("event") == "round_start":
             try:
                 self._last_round[shard] = int(event["round"])  # type: ignore[arg-type]
@@ -135,5 +134,4 @@ class FlightRecorder:
             encoding="utf-8",
         )
         self._last_dump[shard] = path
-        self.dumps_written += 1
         return path

@@ -1,24 +1,30 @@
-"""Live run telemetry: heartbeats, progress/ETA and straggler detection.
+"""Live run telemetry: the one event stream of a supervised run, folded.
 
-Everything the platform reported before this module was post-hoc: the
-supervisor (:mod:`repro.exec.resilience`) only learns about a shard
-when its result (or corpse) comes back, so a long campaign is a black
-box while it runs.  This module adds the *in-flight* plane:
+A supervised sharded run reports exactly one event stream, the
+:data:`LIVE_SCHEMA` lifecycle.  :class:`repro.exec.resilience.ShardSupervisor`
+emits its own ``launch`` / ``attempt_failure`` / ``shard_complete``
+events and forwards the events its shard workers ship over their
+result pipes, interleaved with the ``ok``/``error`` result protocol:
+``attempt_start``, ``round_start``, ``checkpoint`` and — at the
+heartbeat cadence — ``heartbeat`` (built with :func:`build_heartbeat`:
+round/step progress, devices simulated, device-steps/s, per-phase span
+deltas, RSS).
 
-* shard workers emit small **heartbeat** events over their existing
-  result pipe (built with :func:`build_heartbeat`: round/step progress,
-  devices simulated, device-steps/s, per-phase span deltas, RSS),
-  interleaved with the ``ok``/``error`` result protocol;
-* the coordinator-side :class:`RunMonitor` folds them into live
-  progress/ETA, per-shard rate gauges and an **online straggler
+:class:`RunMonitor` is the fold over that stream, entered through its
+one :meth:`RunMonitor.handle` method.  Everything else is read from it:
+
+* the run's recovery figures — retries, failed attempts, timeouts,
+  attempts per shard, whether worker processes ran — and the
+  ``shard.*`` / ``heartbeat.*`` / ``straggler.*`` / ``flight.*``
+  counters the coordinator folds into its metrics;
+* live progress/ETA, per-shard rate gauges and an **online straggler
   detector** (relative-lag rule over heartbeat rates — the hook a
   future elastic rebalancer will consume at round boundaries);
-* the same stream renders as a ``--watch`` TTY status line and an
-  append-only NDJSON event file (``--events``), schema-tagged
-  :data:`LIVE_SCHEMA` and checkable with :func:`validate_events_file`;
-* every event also feeds the per-shard
-  :class:`repro.obs.flight.FlightRecorder` ring, so worker deaths,
-  timeouts and corrupt payloads leave a crash artifact behind.
+* a ``--watch`` TTY status line and an append-only NDJSON event file
+  (``--events``), checkable with :func:`validate_events_file`;
+* the per-shard :class:`repro.obs.flight.FlightRecorder` ring, dumped
+  on every attempt failure so worker deaths, timeouts and corrupt
+  payloads leave a crash artifact behind.
 
 Monitoring never perturbs the simulation: workers only read clocks,
 counters and ``/proc`` — never random streams or sample arrays — and
@@ -72,6 +78,13 @@ _EVENT_REQUIRED: Dict[str, Tuple[str, ...]] = {
     "straggler": ("shard", "rate", "median_rate"),
     "straggler_cleared": ("shard",),
     "run_complete": ("ok",),
+}
+
+
+#: Failure kinds with a counter of their own, beside ``shard.failures``.
+_FAILURE_COUNTERS: Dict[str, str] = {
+    "timeout": "shard.timeouts",
+    "corrupt": "shard.corrupt_payloads",
 }
 
 
@@ -211,14 +224,18 @@ class _ShardState:
 
 
 class RunMonitor:
-    """Coordinator-side consumer of the live shard event stream.
+    """The fold over a supervised run's one event stream.
 
-    Plugs into :class:`repro.exec.resilience.ShardSupervisor` (which
-    forwards worker events and its own lifecycle hooks) and into
-    :class:`repro.exec.sharding.ShardedFleetSimulator` (which brackets
-    the run with :meth:`begin_run` / :meth:`end_run`).  Every hook is
-    exception-safe from the supervisor's point of view: monitoring can
-    degrade, but it must never fail a run.
+    :meth:`handle` is the :class:`repro.exec.resilience.ShardSupervisor`
+    event sink; :class:`repro.exec.sharding.ShardedFleetSimulator`
+    always runs through one (a default one has no watch line, no
+    NDJSON and no heartbeats) and brackets the run with
+    :meth:`begin_run` / :meth:`end_run`.  The run's recovery figures
+    (:attr:`retries`, :attr:`failures`, :attr:`timeouts`,
+    :attr:`shard_attempts`, :attr:`used_processes`), its
+    :attr:`counters` and the flight recordings are all read from here.
+    Sink and dump I/O failures are swallowed: monitoring can degrade,
+    but it must never fail a run.
 
     Parameters
     ----------
@@ -297,6 +314,7 @@ class RunMonitor:
         self._shards: Dict[int, _ShardState] = {}
         self._flagged: set = set()
         self._completed: set = set()
+        self._used_processes = False
         self._t0 = 0.0
         self._started = False
         self._finished = False
@@ -320,15 +338,52 @@ class RunMonitor:
 
     @property
     def counters(self) -> Dict[str, float]:
-        """Monitor-side counters (``heartbeat.*`` / ``straggler.*`` /
-        ``flight.*``) for folding into the coordinator's metrics."""
+        """Counters folded from the stream (``shard.*`` /
+        ``heartbeat.*`` / ``straggler.*`` / ``flight.*``) for the
+        coordinator's metrics.  A key exists only once it is non-zero."""
         return dict(self._counters)
 
-    def heartbeat_steps(self, step_s: float) -> Optional[int]:
-        """Engine ticks per heartbeat segment (``None`` when disabled)."""
-        if self.heartbeat_s is None:
+    @property
+    def retries(self) -> int:
+        """Re-launched attempts (``launch`` events past attempt 0).
+        Every failure of a completed run was retried, so there this
+        equals :attr:`failures`."""
+        return int(self._counters.get("shard.retries", 0))
+
+    @property
+    def failures(self) -> int:
+        """``attempt_failure`` events of any kind."""
+        return int(self._counters.get("shard.failures", 0))
+
+    @property
+    def timeouts(self) -> int:
+        """``attempt_failure`` events of kind ``timeout``."""
+        return int(self._counters.get("shard.timeouts", 0))
+
+    @property
+    def shard_attempts(self) -> Tuple[int, ...]:
+        """Attempts per shard in shard order (the ``attempts`` of each
+        ``shard_complete``, once every shard has completed)."""
+        return tuple(
+            self._shards[index].attempts for index in sorted(self._shards)
+        )
+
+    @property
+    def used_processes(self) -> bool:
+        """Whether any attempt was launched in a worker process."""
+        return self._used_processes
+
+    def heartbeat_steps(
+        self, step_s: float, heartbeat_s: Optional[float] = None
+    ) -> Optional[int]:
+        """Engine ticks per heartbeat segment (``None`` when disabled).
+
+        ``heartbeat_s`` overrides the monitor's own interval.
+        """
+        beat_s = self.heartbeat_s if heartbeat_s is None else heartbeat_s
+        if beat_s is None:
             return None
-        return max(1, int(round(self.heartbeat_s / float(step_s))))
+        return max(1, int(round(beat_s / float(step_s))))
 
     def stragglers(self) -> Tuple[int, ...]:
         """Currently-flagged straggler shards, ascending."""
@@ -388,6 +443,7 @@ class RunMonitor:
         self._counters = {}
         self._flagged = set()
         self._completed = set()
+        self._used_processes = False
         self._shards = {
             index: _ShardState(devices=size, num_steps=num_steps)
             for index, size in enumerate(shard_sizes)
@@ -444,100 +500,88 @@ class RunMonitor:
                 self._events_owned = False
 
     # ------------------------------------------------------------------
-    # Supervisor hooks
+    # The event sink
     # ------------------------------------------------------------------
-    def handle_event(
-        self, task_index: int, attempt: int, payload: object
-    ) -> None:
-        """Fold one in-flight worker event (heartbeat protocol)."""
-        if not isinstance(payload, dict) or "event" not in payload:
+    def handle(self, shard: int, attempt: int, event: object) -> None:
+        """Fold one event of the run's stream (the supervisor's sink).
+
+        Every well-formed event except ``shard_complete`` enters the
+        shard's flight ring; an ``attempt_failure`` then dumps the ring
+        and names the dump in the event it writes to the NDJSON stream.
+        """
+        if not isinstance(event, dict) or "event" not in event:
             self._count("heartbeat.malformed")
             return
-        if self._flight is not None:
-            self._flight.record(task_index, payload)
+        name = event["event"]
+        if self._flight is not None and name != "shard_complete":
+            self._flight.record(shard, event)
             self._count("flight.events")
-        name = payload["event"]
-        state = self._state(task_index)
+        if name == "launch":
+            if attempt > 0:
+                self._count("shard.retries")
+            if not event.get("inline"):
+                self._used_processes = True
+            self._emit(event)
+            return
+        if name == "attempt_failure":
+            self._fail(shard, attempt, event)
+            return
+        state = self._state(shard)
+        if name == "shard_complete":
+            self._complete(shard, state, event)
+            return
         if name == "attempt_start":
             state.attempts = int(attempt) + 1
-            state.devices = int(payload.get("devices", state.devices))
-            state.num_steps = int(payload.get("num_steps", state.num_steps))
-            state.steps_done = int(payload.get("steps_done", state.steps_done))
+            state.devices = int(event.get("devices", state.devices))
+            state.num_steps = int(event.get("num_steps", state.num_steps))
+            state.steps_done = int(event.get("steps_done", state.steps_done))
         elif name == "heartbeat":
             self._count("heartbeat.received")
-            state.steps_done = int(payload.get("steps_done", state.steps_done))
-            state.num_steps = int(payload.get("num_steps", state.num_steps))
-            state.devices = int(payload.get("devices", state.devices))
-            state.rate = float(payload.get("rate", 0.0))
+            state.steps_done = int(event.get("steps_done", state.steps_done))
+            state.num_steps = int(event.get("num_steps", state.num_steps))
+            state.devices = int(event.get("devices", state.devices))
+            state.rate = float(event.get("rate", 0.0))
             state.heartbeats += 1
-            rss = payload.get("rss_bytes")
+            rss = event.get("rss_bytes")
             if rss is not None:
                 state.rss_bytes = int(rss)
         elif name == "checkpoint":
-            state.steps_done = int(payload.get("steps_done", state.steps_done))
-        self._emit(dict(payload))
+            state.steps_done = int(event.get("steps_done", state.steps_done))
+        self._emit(event)
         if name == "heartbeat":
             self._check_stragglers()
         self._render(force=False)
 
-    def on_attempt_start(
-        self, task_index: int, attempt: int, inline: bool
-    ) -> None:
-        """Supervisor launched (or inlined) an attempt."""
-        event = {
-            "event": "launch",
-            "shard": int(task_index),
-            "attempt": int(attempt),
-            "inline": bool(inline),
-        }
+    def _fail(self, shard: int, attempt: int, event: Dict[str, object]) -> None:
+        """An attempt failed: count it, dump the flight ring, emit."""
+        kind = str(event.get("kind"))
+        self._count("shard.failures")
+        if kind in _FAILURE_COUNTERS:
+            self._count(_FAILURE_COUNTERS[kind])
         if self._flight is not None:
-            self._flight.record(task_index, event)
-            self._count("flight.events")
-        self._emit(event)
-
-    def on_attempt_failure(
-        self, task_index: int, attempt: int, kind: str, reason: str
-    ) -> None:
-        """An attempt failed: dump the flight ring and emit the event."""
-        event: Dict[str, object] = {
-            "event": "attempt_failure",
-            "shard": int(task_index),
-            "attempt": int(attempt),
-            "kind": str(kind),
-            "reason": str(reason),
-        }
-        if self._flight is not None:
-            self._flight.record(task_index, dict(event))
-            self._count("flight.events")
             try:
-                path = self._flight.dump(task_index, attempt, kind, reason)
+                path = self._flight.dump(
+                    shard, attempt, kind, str(event.get("reason"))
+                )
             except OSError:
-                path = None
+                pass
             else:
                 self._count("flight.dumps")
-            if path is not None:
-                event["flight"] = str(path)
+                event = dict(event, flight=str(path))
         self._emit(event)
         self._render(force=True)
 
-    def on_task_complete(self, task_index: int, attempts: int) -> None:
+    def _complete(
+        self, shard: int, state: _ShardState, event: Dict[str, object]
+    ) -> None:
         """A shard finished (result accepted by validation)."""
-        state = self._state(task_index)
         state.steps_done = state.num_steps
-        state.attempts = int(attempts)
-        self._completed.add(task_index)
-        if task_index in self._flagged:
-            self._flagged.discard(task_index)
-            self._emit(
-                {"event": "straggler_cleared", "shard": int(task_index)}
-            )
-        self._emit(
-            {
-                "event": "shard_complete",
-                "shard": int(task_index),
-                "attempts": int(attempts),
-            }
-        )
+        state.attempts = int(event["attempts"])
+        self._completed.add(shard)
+        if shard in self._flagged:
+            self._flagged.discard(shard)
+            self._emit({"event": "straggler_cleared", "shard": int(shard)})
+        self._emit(event)
         self._render(force=True)
 
     def flight_path(self, task_index: int) -> Optional[str]:

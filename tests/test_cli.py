@@ -525,6 +525,10 @@ class TestArgumentValidation:
                 "--kinds: controller kind must be one of",
             ),
             (
+                ["campaign", "--kinds", "spot,intensity"],
+                "--kinds: controller kind 'intensity' cannot be forced",
+            ),
+            (
                 ["campaign", "--tables", "F100_A128+bogus"],
                 "--tables: malformed configuration name",
             ),
@@ -577,6 +581,10 @@ class TestArgumentValidation:
             (dict(stability_thresholds=[-3]), "stability threshold"),
             (dict(stability_thresholds=[2.5]), "stability threshold"),
             (dict(controller_kinds=["bogus"]), "controller kind"),
+            (
+                dict(controller_kinds=["spot", "intensity"]),
+                "calibrated per population",
+            ),
             (dict(config_tables=[("F100_A128", "bogus")]), "malformed"),
             (dict(config_tables=[()]), "at least one configuration"),
         ],

@@ -30,6 +30,7 @@ from repro.exec.resilience import (
 )
 from repro.exec.sharding import ShardedFleetSimulator
 from repro.fleet import DevicePopulation, FleetSimulator, traces_equal
+from repro.obs import RunMonitor
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -145,7 +146,7 @@ class TestFaultPlan:
 # ----------------------------------------------------------------------
 # Supervisor units (toy workers, no fleet)
 # ----------------------------------------------------------------------
-def _toy_worker(payload, attempt):
+def _toy_worker(payload, attempt, emit):
     kind, value = payload
     if kind == "kill-first" and attempt == 0:
         if multiprocessing.parent_process() is not None:
@@ -160,66 +161,67 @@ def _toy_worker(payload, attempt):
     return value * 10
 
 
+def supervise(payloads, policy, **kwargs):
+    """Run toy payloads with a :class:`RunMonitor` folding the events."""
+    monitor = RunMonitor(heartbeat_s=None)
+    supervisor = ShardSupervisor(
+        _toy_worker, monitor.handle, policy, **kwargs
+    )
+    return supervisor.run(payloads), monitor
+
+
 class TestShardSupervisor:
     POLICY = RetryPolicy(max_retries=2, backoff_base_s=0.0)
 
     def test_fault_free_passthrough(self):
-        supervisor = ShardSupervisor(_toy_worker, self.POLICY)
-        results, stats = supervisor.run([("ok", 1), ("ok", 2)])
+        results, monitor = supervise([("ok", 1), ("ok", 2)], self.POLICY)
         assert results == [10, 20]
-        assert stats.attempts == (1, 1)
-        assert stats.retries == stats.failures == stats.timeouts == 0
+        assert monitor.shard_attempts == (1, 1)
+        assert monitor.retries == monitor.failures == monitor.timeouts == 0
 
     def test_worker_death_is_retried(self):
-        supervisor = ShardSupervisor(_toy_worker, self.POLICY)
-        results, stats = supervisor.run([("kill-first", 1), ("ok", 2)])
+        results, monitor = supervise(
+            [("kill-first", 1), ("ok", 2)], self.POLICY
+        )
         assert results == [10, 20]
-        assert stats.attempts == (2, 1)
-        assert stats.retries == 1 and stats.failures == 1
+        assert monitor.shard_attempts == (2, 1)
+        assert monitor.retries == 1 and monitor.failures == 1
 
     def test_raised_exception_is_retried(self):
-        supervisor = ShardSupervisor(_toy_worker, self.POLICY)
-        results, _ = supervisor.run([("raise-first", 3)])
+        results, _ = supervise([("raise-first", 3)], self.POLICY)
         assert results == [30]
 
     def test_timeout_kills_and_retries(self):
         policy = RetryPolicy(
             max_retries=1, backoff_base_s=0.0, shard_timeout_s=0.5
         )
-        supervisor = ShardSupervisor(_toy_worker, policy)
-        results, stats = supervisor.run([("slow-first", 4)])
+        results, monitor = supervise([("slow-first", 4)], policy)
         assert results == [40]
-        assert stats.timeouts == 1
+        assert monitor.timeouts == 1
 
     def test_exhausted_budget_raises_with_shard_and_attempts(self):
         policy = RetryPolicy(
             max_retries=1, backoff_base_s=0.0, inline_last_resort=True
         )
-        supervisor = ShardSupervisor(_toy_worker, policy)
         with pytest.raises(ShardExecutionError) as excinfo:
-            supervisor.run([("ok", 1), ("always-raise", 2)])
+            supervise([("ok", 1), ("always-raise", 2)], policy)
         error = excinfo.value
         assert error.shard_index == 1
         # Two process attempts plus the inline last resort.
         assert error.attempts == 3
         assert "shard 1" in str(error) and "3 attempts" in str(error)
 
-    def test_failure_counters_reach_registry(self):
-        registry = MetricsRegistry()
-        supervisor = ShardSupervisor(
-            _toy_worker, self.POLICY, metrics=registry
-        )
-        supervisor.run([("kill-first", 1)])
-        assert registry.counter_value("shard.retries") == 1.0
-        assert registry.counter_value("shard.failures") == 1.0
+    def test_failure_counters_fold_from_the_event_stream(self):
+        _, monitor = supervise([("kill-first", 1)], self.POLICY)
+        assert monitor.counters["shard.retries"] == 1.0
+        assert monitor.counters["shard.failures"] == 1.0
 
     def test_inline_only_mode_never_spawns(self):
-        supervisor = ShardSupervisor(
-            _toy_worker, self.POLICY, inline_only=True
+        results, monitor = supervise(
+            [("raise-first", 5)], self.POLICY, inline_only=True
         )
-        results, stats = supervisor.run([("raise-first", 5)])
         assert results == [50]
-        assert stats.used_processes is False
+        assert monitor.used_processes is False
 
 
 # ----------------------------------------------------------------------

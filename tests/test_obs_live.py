@@ -89,6 +89,23 @@ def beat(shard, steps_done, rate, num_steps=12, devices=4, attempt=0):
     return payload
 
 
+def launch(shard, attempt=0, inline=False):
+    """The supervisor's ``launch`` event."""
+    return {"event": "launch", "shard": shard, "attempt": attempt,
+            "inline": inline}
+
+
+def complete(shard, attempts=1):
+    """The supervisor's ``shard_complete`` event."""
+    return {"event": "shard_complete", "shard": shard, "attempts": attempts}
+
+
+def attempt_failure(shard, attempt, kind, reason):
+    """The supervisor's ``attempt_failure`` event."""
+    return {"event": "attempt_failure", "shard": shard, "attempt": attempt,
+            "kind": kind, "reason": reason}
+
+
 # ----------------------------------------------------------------------
 # Event schema units
 # ----------------------------------------------------------------------
@@ -167,7 +184,6 @@ class TestFlightRecorder:
         events = recorder.events(0)
         assert len(events) == 4
         assert [event["steps_done"] for event in events] == [6, 7, 8, 9]
-        assert recorder.events_recorded == 10
 
     def test_tracks_last_round(self, tmp_path):
         recorder = FlightRecorder(tmp_path)
@@ -193,7 +209,6 @@ class TestFlightRecorder:
         assert payload["last_round"] == 1
         assert payload["num_events"] == 2
         assert payload["events"][0]["event"] == "round_start"
-        assert recorder.dumps_written == 1
 
 
 # ----------------------------------------------------------------------
@@ -225,14 +240,14 @@ class TestRunMonitor:
         assert monitor.progress() == 0.0
         assert monitor.eta_s() is None  # no rate yet
         clock.advance(1.0)
-        monitor.handle_event(0, 0, beat(0, steps_done=6, rate=8.0))
-        monitor.handle_event(1, 0, beat(1, steps_done=3, rate=4.0))
+        monitor.handle(0, 0, beat(0, steps_done=6, rate=8.0))
+        monitor.handle(1, 0, beat(1, steps_done=3, rate=4.0))
         assert monitor.progress() == pytest.approx((4 * 6 + 4 * 3) / 96.0)
         # remaining 4*6 + 4*9 = 60 device-steps at 12/s.
         assert monitor.eta_s() == pytest.approx(60 / 12.0)
         assert monitor.shard_rates() == {0: 8.0, 1: 4.0}
-        monitor.on_task_complete(0, attempts=1)
-        monitor.on_task_complete(1, attempts=1)
+        monitor.handle(0, 0, complete(0))
+        monitor.handle(1, 0, complete(1))
         assert monitor.progress() == 1.0
         assert monitor.eta_s() == 0.0
 
@@ -241,14 +256,14 @@ class TestRunMonitor:
         monitor.begin_run([4, 4, 4], num_steps=100, step_s=1.0)
         for round_index in range(2):
             clock.advance(1.0)
-            monitor.handle_event(0, 0, beat(0, 10 * (round_index + 1), rate=10.0))
-            monitor.handle_event(1, 0, beat(1, 10 * (round_index + 1), rate=10.0))
-            monitor.handle_event(2, 0, beat(2, round_index + 1, rate=1.0))
+            monitor.handle(0, 0, beat(0, 10 * (round_index + 1), rate=10.0))
+            monitor.handle(1, 0, beat(1, 10 * (round_index + 1), rate=10.0))
+            monitor.handle(2, 0, beat(2, round_index + 1, rate=1.0))
         assert monitor.stragglers() == (2,)
         assert monitor.counters["straggler.flags"] == 1.0
         # Recovery clears the flag and emits straggler_cleared.
         clock.advance(1.0)
-        monitor.handle_event(2, 0, beat(2, 30, rate=10.0))
+        monitor.handle(2, 0, beat(2, 30, rate=10.0))
         assert monitor.stragglers() == ()
         names = [
             json.loads(line)["event"]
@@ -261,27 +276,27 @@ class TestRunMonitor:
         monitor.begin_run([4], num_steps=100, step_s=1.0)
         for round_index in range(5):
             clock.advance(1.0)
-            monitor.handle_event(0, 0, beat(0, round_index + 1, rate=0.001))
+            monitor.handle(0, 0, beat(0, round_index + 1, rate=0.001))
         assert monitor.stragglers() == ()
 
     def test_malformed_event_counted_not_raised(self):
         monitor, _, _, _ = make_monitor()
         monitor.begin_run([4], num_steps=10, step_s=1.0)
-        monitor.handle_event(0, 0, ["not", "a", "dict"])
-        monitor.handle_event(0, 0, {"no_event_key": True})
+        monitor.handle(0, 0, ["not", "a", "dict"])
+        monitor.handle(0, 0, {"no_event_key": True})
         assert monitor.counters["heartbeat.malformed"] == 2.0
 
     def test_watch_line_renders_progress(self):
         monitor, clock, watch, _ = make_monitor()
         monitor.begin_run([4, 4], num_steps=10, step_s=1.0)
         clock.advance(1.0)
-        monitor.handle_event(0, 0, beat(0, steps_done=5, rate=20.0, num_steps=10))
+        monitor.handle(0, 0, beat(0, steps_done=5, rate=20.0, num_steps=10))
         text = watch.getvalue()
         assert "[repro]" in text
         assert "dev-steps" in text
         assert "shards 0/2" in text
-        monitor.on_task_complete(0, attempts=1)
-        monitor.on_task_complete(1, attempts=1)
+        monitor.handle(0, 0, complete(0))
+        monitor.handle(1, 0, complete(1))
         monitor.end_run(ok=True)
         assert "100.0%" in watch.getvalue()
         assert watch.getvalue().endswith("\n")
@@ -291,11 +306,11 @@ class TestRunMonitor:
         clock = FakeClock()
         monitor = RunMonitor(events=path, clock=clock, watch_interval_s=0.0)
         monitor.begin_run([4, 4], num_steps=12, step_s=1.0)
-        monitor.on_attempt_start(0, 0, inline=False)
+        monitor.handle(0, 0, launch(0))
         clock.advance(1.0)
-        monitor.handle_event(0, 0, beat(0, steps_done=6, rate=8.0))
-        monitor.on_task_complete(0, attempts=1)
-        monitor.on_task_complete(1, attempts=1)
+        monitor.handle(0, 0, beat(0, steps_done=6, rate=8.0))
+        monitor.handle(0, 0, complete(0))
+        monitor.handle(1, 0, complete(1))
         monitor.end_run(ok=True)
         counts = validate_events_file(path)
         assert counts == {
@@ -307,18 +322,26 @@ class TestRunMonitor:
         }
 
     def test_failure_dumps_flight_ring(self, tmp_path):
-        monitor, _, _, events = make_monitor(flight_dir=tmp_path / "flight")
+        monitor, _, _, events = make_monitor(
+            flight_dir=tmp_path / "flight", ring_size=2
+        )
         monitor.begin_run([4, 4], num_steps=12, step_s=1.0)
-        monitor.on_attempt_start(1, 0, inline=False)
-        monitor.handle_event(1, 0, {"event": "round_start", "shard": 1,
-                                    "attempt": 0, "round": 0})
-        monitor.on_attempt_failure(1, 0, kind="died", reason="exit code 9")
+        monitor.handle(1, 0, launch(1))
+        monitor.handle(1, 0, {"event": "round_start", "shard": 1,
+                              "attempt": 0, "round": 0})
+        monitor.handle(
+            1, 0, attempt_failure(1, 0, kind="died", reason="exit code 9")
+        )
         path = monitor.flight_path(1)
         assert path is not None
         payload = json.loads(open(path).read())
         assert payload["kind"] == "died"
         assert payload["last_round"] == 0
+        # The ring evicted the launch; the counter still saw it.
+        assert payload["num_events"] == 2
+        assert monitor.counters["flight.events"] == 3.0
         assert monitor.counters["flight.dumps"] == 1.0
+        assert monitor.failures == 1 and monitor.used_processes
         failure = [
             json.loads(line)
             for line in events.getvalue().splitlines()
