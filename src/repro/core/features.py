@@ -330,7 +330,17 @@ def default_feature_extractor() -> FeatureExtractor:
 #   via the two-moment identity), and
 # * the chunk's contribution to the low-frequency DFT bins of the full
 #   window — only bins up to ``max_frequency_hz`` matter, so this is a
-#   tiny ``(bins, chunk)`` matrix product rather than a full FFT.
+#   tiny ``(2 * bins, chunk)`` real projection (the ``[Re; Im]`` stack
+#   of the DFT basis) rather than a full FFT.
+#
+# Both lanes reduce a tick's chunk stack through one time-major
+# ``(chunk, devices * 3)`` block, accumulating down the sample axis in
+# order.  The float64 partials are therefore bit-identical to a
+# complex-basis einsum over the chunk stack (the oracle in
+# ``tests/test_chunk_kernel.py``), and in either lane a device's
+# partials never depend on which other devices share its batch — the
+# property that keeps engines, group compositions and shard counts
+# bit-identical to each other.
 #
 # Combining a window is then a handful of adds: the DFT contribution of
 # a chunk at window offset ``p`` is its cached coefficient times the
@@ -400,7 +410,8 @@ class WindowGeometry:
 class _SpectralBasis:
     """Precomputed DFT basis and band layout for one window geometry.
 
-    ``chunk_basis[k - 1, j] = exp(-2j*pi*j*k/n)`` for the spectral bins
+    ``chunk_basis`` is the real ``(2 * bins, chunk_samples)`` stack
+    ``[Re; Im]`` of ``exp(-2j*pi*j*k/n)`` for the spectral bins
     ``k = 1..bins`` of the ``n``-point window DFT, evaluated over one
     chunk's local sample indices; ``tail_basis`` is the same for the
     tail fragment.  ``chunk_phases[slot]`` rotates a cached chunk
@@ -413,15 +424,6 @@ class _SpectralBasis:
     chunk_phases: np.ndarray
     band_masks: Optional[Tuple[np.ndarray, ...]]
     scale: float
-    #: Window length to zero-pad chunks to before an rfft (float32 lane
-    #: only, else ``None``): a chunk's window-bin DFT coefficients are
-    #: exactly the first bins of the zero-padded chunk's ``n``-point
-    #: transform, and pocketfft runs each (device, axis) transform
-    #: independently — several times faster than the complex einsum in
-    #: single precision *and* bit-identical regardless of how devices
-    #: are grouped into batches (BLAS-backed spellings are not, which
-    #: would break shard invariance).
-    pad_samples: Optional[int] = None
 
 
 # ----------------------------------------------------------------------
@@ -524,32 +526,28 @@ def _build_basis(
         band_masks = tuple(mask[1 : bins + 1] for mask in masks)
 
     k = np.arange(1, bins + 1)
-    j_chunk = np.arange(geometry.chunk_samples)
-    chunk_basis = np.exp(-2j * np.pi * np.outer(k, j_chunk) / n)
-    tail_basis = None
-    if geometry.tail_samples:
-        j_tail = np.arange(geometry.tail_samples)
-        tail_basis = np.exp(-2j * np.pi * np.outer(k, j_tail) / n)
+
+    def stacked_basis(samples: int) -> np.ndarray:
+        basis = np.exp(-2j * np.pi * np.outer(k, np.arange(samples)) / n)
+        stacked = np.concatenate([basis.real, basis.imag]).astype(dtype)
+        stacked.setflags(write=False)
+        return stacked
+
     offsets = geometry.tail_samples + geometry.chunk_samples * np.arange(
         geometry.chunks_per_window
     )
     chunk_phases = np.exp(-2j * np.pi * np.outer(offsets, k) / n)
-    complex_dtype = _complex_dtype(dtype)
-    chunk_basis = chunk_basis.astype(complex_dtype, copy=False)
-    chunk_phases = chunk_phases.astype(complex_dtype, copy=False)
-    chunk_basis.setflags(write=False)
+    chunk_phases = chunk_phases.astype(_complex_dtype(dtype), copy=False)
     chunk_phases.setflags(write=False)
-    if tail_basis is not None:
-        tail_basis = tail_basis.astype(complex_dtype, copy=False)
-        tail_basis.setflags(write=False)
     return _SpectralBasis(
         bins=bins,
-        chunk_basis=chunk_basis,
-        tail_basis=tail_basis,
+        chunk_basis=stacked_basis(geometry.chunk_samples),
+        tail_basis=(
+            stacked_basis(geometry.tail_samples) if geometry.tail_samples else None
+        ),
         chunk_phases=chunk_phases,
         band_masks=band_masks,
         scale=2.0 / n,
-        pad_samples=n if dtype == np.float32 else None,
     )
 
 
@@ -630,9 +628,10 @@ class IncrementalFeatureExtractor:
     engine toggle.
 
     ``dtype`` selects the compute lane: ``float64`` (default, the
-    bit-exact reference) or ``float32`` (single-precision sums/sumsq
-    with complex64 spectra).  Basis tables come from the process-wide
-    :func:`spectral_plan` cache keyed by ``(geometry, dtype)``.
+    bit-exact reference) or ``float32`` (the same reductions in single
+    precision, with complex64 spectra).  Basis tables come from the
+    process-wide :func:`spectral_plan` cache keyed by
+    ``(geometry, dtype)``.
     """
 
     def __init__(
@@ -708,46 +707,43 @@ class IncrementalFeatureExtractor:
                 f"got {chunks.shape}"
             )
         basis = self.basis_for(geometry)
-        sums = chunks.sum(axis=1)
-        sumsq = (chunks * chunks).sum(axis=1)
-        # einsum contracts the sample axis with the same sequential
-        # accumulation order as summing the broadcast product, so the
-        # coefficients are bit-identical — without ever materialising
-        # the (batch, bins, samples, 3) intermediate.  The float32 lane
-        # instead zero-pads each chunk to the window length and rffts
-        # it (see _SpectralBasis.pad_samples) — same coefficients up to
-        # rounding, several times faster in single precision, and
-        # batch-size independent, so the lane stays bit-identical
-        # across engines, group compositions and shard counts.
-        dft = self._chunk_dft(chunks, basis.chunk_basis, basis)
+        batch, samples, axes = chunks.shape
+        # One time-major (samples, batch * 3) block serves every
+        # reduction: sums, sums of squares and the real-basis DFT
+        # projection each run down the sample axis strictly in order,
+        # so no column's result depends on the batch it sits in.
+        major = np.ascontiguousarray(chunks.transpose(1, 0, 2)).reshape(
+            samples, batch * axes
+        )
+        squares = major * major
+        sums = major.sum(axis=0).reshape(batch, axes)
+        sumsq = squares.sum(axis=0).reshape(batch, axes)
+        dft = self._project(basis.chunk_basis, major, basis.bins, batch)
         if not geometry.tail_samples:
             return StackedChunkPartials(sums, sumsq, dft)
-        tail = chunks[:, geometry.chunk_samples - geometry.tail_samples :, :]
-        tail_sums = tail.sum(axis=1)
-        tail_sumsq = (tail * tail).sum(axis=1)
-        tail_dft = self._chunk_dft(tail, basis.tail_basis, basis)
+        # The tail is the newest rows of the same block: no copy.
+        first = samples - geometry.tail_samples
+        tail_sums = major[first:].sum(axis=0).reshape(batch, axes)
+        tail_sumsq = squares[first:].sum(axis=0).reshape(batch, axes)
+        tail_dft = self._project(basis.tail_basis, major[first:], basis.bins, batch)
         return StackedChunkPartials(
             sums, sumsq, dft, tail_sums, tail_sumsq, tail_dft
         )
 
     @staticmethod
-    def _chunk_dft(
-        chunks: np.ndarray, chunk_basis: np.ndarray, basis: _SpectralBasis
+    def _project(
+        stacked_basis: np.ndarray, major: np.ndarray, bins: int, batch: int
     ) -> np.ndarray:
-        """Project a chunk stack onto the window DFT bins.
+        """Project a time-major block onto the window DFT bins.
 
-        The float64 lane keeps the bit-exact einsum contraction; the
-        float32 lane (``basis.pad_samples`` set) takes the zero-padded
-        rfft spelling of the same projection.
+        ``stacked_basis`` is the ``(2 * bins, samples)`` real stack
+        ``[Re; Im]``; the result is the ``(batch, bins, 3)`` complex
+        coefficient array.  ``optimize=False`` keeps einsum's own
+        in-order loop (a BLAS spelling would reorder the sum).
         """
-        if basis.pad_samples is None:
-            return np.einsum("kj,dja->dka", chunk_basis, chunks)
-        padded = np.zeros(
-            (chunks.shape[0], basis.pad_samples, chunks.shape[2]),
-            dtype=np.float32,
-        )
-        padded[:, : chunks.shape[1], :] = chunks
-        return np.fft.rfft(padded, axis=1)[:, 1 : basis.bins + 1, :]
+        projected = np.einsum("kj,jn->kn", stacked_basis, major, optimize=False)
+        parts = projected.reshape(2, bins, batch, _NUM_AXES).transpose(2, 1, 3, 0)
+        return np.ascontiguousarray(parts).view(_complex_dtype(major.dtype))[..., 0]
 
     def combine_stacked(
         self,

@@ -30,7 +30,6 @@ applied by :class:`repro.sensors.imu.SimulatedAccelerometer`.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -423,21 +422,30 @@ class StackedEvaluationCache:
     fixed row of ``(devices, 3 * k)`` arrays, padded with
     zero-amplitude components to ``k`` slots per axis, and a row is
     rewritten only when that device crosses a bout boundary.  A tick's
-    evaluation is then one gather of the group's rows, one
-    trigonometric pass over ``(group, 3 * w, times)`` and one
-    fixed-width axis reduction per distinct row width ``w`` — each row
-    records the widest axis of its own realisation, so a static
-    activity (one component per axis) never evaluates the padding
-    slots a gait realisation needs.
+    evaluation is then, per distinct per-axis component-count
+    signature ``(c_x, c_y, c_z)`` among the group's rows, one gather of
+    those rows' real components, one trigonometric pass over
+    ``(rows, c_x + c_y + c_z, times)`` and one in-order reduction per
+    axis — no row ever evaluates a padding slot.
 
     Results are bit-for-bit ``np.stack([r.evaluate_windowed(times, w)
     for r in realizations])`` (pinned by the equivalence tests): each
-    axis's real components keep their stable order, NumPy reduces the
-    ``w < 8`` slots strictly left to right, and the zero-amplitude
-    slots a row of width ``w`` still carries contribute exact ``+0.0``
-    terms.  Realisations the padded layout cannot host (empty, or more
-    components per axis than the fused limit) fall back to
-    per-realisation evaluation.
+    axis's components keep their stable order and NumPy reduces the
+    fewer than eight of them strictly left to right, as the
+    per-realisation sum does.
+
+    A window that straddles a bout boundary stays on the fused pass.
+    The device's row takes the bout covering the window's *end* (so the
+    next tick revalidates instead of rebuilding); each earlier bout
+    gets a transient overflow row.  Every row is evaluated over the
+    full time grid and each sample is taken from the row of the bout
+    that covers it — evaluation is elementwise in time, so this equals
+    :meth:`ScheduledSignal.evaluate_windowed`'s per-bout split bit for
+    bit.  Only realisations the fused layout cannot host (empty, or
+    more components per axis than the fused limit) are evaluated one
+    realisation at a time, and only signals without
+    :meth:`ScheduledSignal.segment_indices` fall back to their own
+    ``evaluate_windowed``.
     """
 
     def __init__(self, num_devices: int = 0, dtype=np.float64) -> None:
@@ -450,9 +458,10 @@ class StackedEvaluationCache:
         self._slots = 0
         self._refs: List[Optional[ActivityRealization]] = [None] * num_devices
         self._fusable = np.zeros(num_devices, dtype=bool)
-        #: Per-row slot width: the row realisation's largest per-axis
-        #: component count, the only slots its evaluation touches.
-        self._widths = np.zeros(num_devices, dtype=np.intp)
+        #: Per-row component-count signature ``c_x + 8 c_y + 64 c_z``
+        #: (each count is at most :data:`_MAX_FUSED_AXIS_COMPONENTS`):
+        #: rows sharing it are evaluated in one trig pass.
+        self._signatures = np.zeros(num_devices, dtype=np.intp)
         #: Validity interval of each cached row: the time bounds of the
         #: bout the row was built from.  A window inside the interval
         #: needs no per-device lookup at all.
@@ -463,17 +472,20 @@ class StackedEvaluationCache:
         self._frequencies: Optional[np.ndarray] = None
         self._phases_padded: Optional[np.ndarray] = None
         self._offsets_padded: Optional[np.ndarray] = None
-        #: Per-span effective amplitudes (``amp * sinc(f * span)``).
-        self._effective: Dict[float, np.ndarray] = {}
         #: Reusable trig scratch, grown to the largest (group, width,
         #: times) evaluation seen; slicing it per tick keeps the hot
         #: path allocation-free.
         self._scratch = np.empty(0, dtype=self._dtype)
+        #: Transient rows for the earlier bouts of straddling windows,
+        #: reloaded on every call that needs them (created lazily).
+        self._overflow: Optional[StackedEvaluationCache] = None
         #: Observability counters: rows served straight from their
         #: cached validity interval, rows re-resolved and rewritten,
-        #: and rows that fell back to per-realisation evaluation.
+        #: windows that straddled a bout boundary, and windows of
+        #: signals without segment support, evaluated on their own.
         self.revalidations = 0
         self.rebuilds = 0
+        self.straddles = 0
         self.fallbacks = 0
         #: Group members whose clean-signal evaluation was served from
         #: another member sharing the same row this call (fused
@@ -484,16 +496,18 @@ class StackedEvaluationCache:
         self.shared_hits = 0
 
     def __getstate__(self) -> dict:
-        # The trig scratch is regrowable working memory, not state:
-        # checkpoints leave it out and a restored cache regrows it on
-        # its first evaluation.
+        # The trig scratch and the overflow rows are working memory,
+        # not state: checkpoints leave them out and a restored cache
+        # regrows them when it first needs them.
         state = self.__dict__.copy()
         del state["_scratch"]
+        del state["_overflow"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._scratch = np.empty(0, dtype=self._dtype)
+        self._overflow = None
 
     def _grow(self, num_devices: int, slots: int) -> None:
         """Widen the row arrays, remapping existing rows in place.
@@ -522,8 +536,8 @@ class StackedEvaluationCache:
 
         self._refs = self._refs + [None] * added
         self._fusable = np.concatenate([self._fusable, np.zeros(added, dtype=bool)])
-        self._widths = np.concatenate(
-            [self._widths, np.zeros(added, dtype=np.intp)]
+        self._signatures = np.concatenate(
+            [self._signatures, np.zeros(added, dtype=np.intp)]
         )
         self._starts = np.concatenate([self._starts, np.full(added, np.inf)])
         self._ends = np.concatenate([self._ends, np.full(added, -np.inf)])
@@ -535,9 +549,6 @@ class StackedEvaluationCache:
         if self._offsets_padded is not None and old_devices:
             offsets[:old_devices] = self._offsets_padded[:old_devices]
         self._offsets_padded = offsets
-        self._effective = {
-            span: remap(effective) for span, effective in self._effective.items()
-        }
 
     def _update_row(self, row: int, realization: ActivityRealization) -> None:
         """Write one device's padded component row."""
@@ -552,34 +563,18 @@ class StackedEvaluationCache:
             self._grow(self._num_devices, max(counts))
             self._refs[row] = realization
             self._fusable[row] = True
-        self._widths[row] = max(counts)
-        slots = self._slots
-        self._amplitudes[row] = 0.0
-        self._angular[row] = 0.0
-        self._frequencies[row] = 0.0
-        self._phases_padded[row] = 0.0
-        cursor = 0
-        for axis, count in enumerate(counts):
-            start = axis * slots
-            self._amplitudes[row, start : start + count] = amplitudes[
-                cursor : cursor + count
-            ]
-            self._frequencies[row, start : start + count] = frequencies[
-                cursor : cursor + count
-            ]
-            self._phases_padded[row, start : start + count] = phases[
-                cursor : cursor + count
-            ]
-            cursor += count
+        signature = counts[0] + 8 * counts[1] + 64 * counts[2]
+        self._signatures[row] = signature
+        columns = _signature_columns(signature, self._slots)
+        for table, values in (
+            (self._amplitudes, amplitudes),
+            (self._frequencies, frequencies),
+            (self._phases_padded, phases),
+        ):
+            table[row] = 0.0
+            table[row, columns] = values
         self._angular[row] = 2.0 * np.pi * self._frequencies[row]
         self._offsets_padded[row] = realization.offset
-        for span, effective in self._effective.items():
-            if span == 0.0:
-                effective[row] = self._amplitudes[row]
-            else:
-                effective[row] = self._amplitudes[row] * np.sinc(
-                    self._frequencies[row] * span
-                )
 
     def _dedupe_rows(self, rows: np.ndarray):
         """Detect duplicate rows in one group's evaluation request.
@@ -603,16 +598,6 @@ class StackedEvaluationCache:
         self.shared_hits += int(rows.shape[0] - unique_rows.shape[0])
         return unique_rows, first_positions, inverse
 
-    def _effective_for(self, span: float) -> np.ndarray:
-        effective = self._effective.get(span)
-        if effective is None:
-            if span == 0.0:
-                effective = self._amplitudes.copy()
-            else:
-                effective = self._amplitudes * np.sinc(self._frequencies * span)
-            self._effective[span] = effective
-        return effective
-
     def evaluate_signals(
         self,
         signals: Sequence,
@@ -628,10 +613,10 @@ class StackedEvaluationCache:
         from — and revalidates the whole group with two array
         comparisons.  Only devices whose window left their cached bout
         touch Python: they re-resolve through
-        :meth:`repro.datasets.synthetic.ScheduledSignal.spanning_segment`
-        and rewrite their row.  Windows straddling a bout boundary, and
-        signals without segment support, are evaluated individually for
-        that tick.
+        :meth:`repro.datasets.synthetic.ScheduledSignal.segment_indices`
+        and rewrite their row (see the class docstring for windows
+        that straddle a bout boundary).  Signals without segment
+        support are evaluated individually.
 
         Parameters
         ----------
@@ -694,28 +679,32 @@ class StackedEvaluationCache:
         )
         invalid_positions = np.flatnonzero(~valid)
         self.revalidations += int(rows.shape[0] - invalid_positions.shape[0])
+        # (position, per-sample bout indices, bouts) of straddling windows.
+        straddling = []
         for position in invalid_positions:
             signal = signals[position]
-            spanning = getattr(signal, "spanning_segment", None)
-            segment = spanning(times) if spanning is not None else None
-            if segment is None:
+            split = getattr(signal, "segment_indices", None)
+            if split is None:
                 output[position] = signal.evaluate_windowed(times, window)
                 self.fallbacks += 1
                 continue
+            indices = split(times)
+            segments = signal.segments
+            last = int(indices[-1])
+            segment = segments[last]
             row = int(rows[position])
             if self._refs[row] is not segment.realization:
                 self._update_row(row, segment.realization)
                 self.rebuilds += 1
             self._starts[row] = segment.start_s
-            duration = getattr(signal, "duration_s", None)
             # The schedule's last bout is clamped (it covers any later
             # time), so its row never expires.
             self._ends[row] = (
-                np.inf
-                if duration is not None and segment.end_s >= duration
-                else segment.end_s
+                np.inf if last == len(segments) - 1 else segment.end_s
             )
             valid[position] = True
+            if int(indices[0]) != last:
+                straddling.append((position, indices, segments))
         for position in np.flatnonzero(valid & ~self._fusable[rows]):
             output[position] = self._refs[int(rows[position])].evaluate_windowed(
                 times, window
@@ -725,7 +714,55 @@ class StackedEvaluationCache:
             self._evaluate_fused(
                 output, fused_positions, rows[fused_positions], times, window
             )
+        if straddling:
+            self.straddles += len(straddling)
+            self._fill_earlier_bouts(output, straddling, times, window)
         return output
+
+    def _fill_earlier_bouts(
+        self,
+        output: np.ndarray,
+        straddling: list,
+        times: np.ndarray,
+        window: float,
+    ) -> None:
+        """Overwrite the samples of straddling windows that fall in an
+        earlier bout than the one their device row holds.
+
+        Each fusable earlier bout is loaded into a transient overflow
+        row and all of them run one fused pass over the full grid;
+        a non-fusable bout is evaluated by its own realisation.  Each
+        bout's samples are then picked out by the per-sample split.
+        """
+        picks = []
+        realizations: List[ActivityRealization] = []
+        for position, indices, segments in straddling:
+            for index in np.unique(indices[indices != indices[-1]]).tolist():
+                mask = indices == index
+                realization = segments[index].realization
+                if realization.fused_layout()[0]:
+                    picks.append((position, mask, len(realizations)))
+                    realizations.append(realization)
+                else:
+                    output[position, mask] = realization.evaluate_windowed(
+                        times, window
+                    )[mask]
+        if not realizations:
+            return
+        overflow = self._overflow
+        if overflow is None:
+            overflow = self._overflow = StackedEvaluationCache(dtype=self._dtype)
+        count = len(realizations)
+        if count > overflow._num_devices:
+            overflow._grow(count, max(overflow._slots, 1))
+        for row, realization in enumerate(realizations):
+            if overflow._refs[row] is not realization:
+                overflow._update_row(row, realization)
+        earlier = np.empty((count, times.shape[0], NUM_AXES), dtype=self._dtype)
+        overflow_rows = np.arange(count)
+        overflow._evaluate_fused(earlier, overflow_rows, overflow_rows, times, window)
+        for position, mask, row in picks:
+            output[position, mask] = earlier[row, mask]
 
     def _evaluate_fused(
         self,
@@ -737,39 +774,72 @@ class StackedEvaluationCache:
     ) -> None:
         """Fill ``output[positions]`` from the padded component rows.
 
-        Rows are evaluated in one pass per distinct row width, each
-        over only its first ``width`` slots per axis: a row's slots
-        beyond its own width hold zero-amplitude padding whose exact
-        ``+0.0`` terms leave the sums unchanged.
+        Rows are evaluated in one pass per distinct component-count
+        signature, each over only its real components: the gather
+        picks axis ``a``'s first ``c_a`` slots, so padding slots are
+        never evaluated.
         """
         shifted = times if window == 0.0 else times - window / 2.0
         shifted = shifted.astype(self._dtype, copy=False)
-        effective = self._effective_for(window)
-        widths = self._widths[fused_rows]
-        per_axis = (-1, NUM_AXES, self._slots)
-        for width in np.unique(widths).tolist():
-            select = widths == width
+        signatures = self._signatures[fused_rows]
+        for signature in np.unique(signatures).tolist():
+            columns = _signature_columns(signature, self._slots)
+            select = signatures == signature
             group_rows = fused_rows[select]
-            angular = self._angular.reshape(per_axis)[group_rows, :, :width]
-            phases = self._phases_padded.reshape(per_axis)[group_rows, :, :width]
-            amplitudes = effective.reshape(per_axis)[group_rows, :, :width]
-            # One persistent scratch block holds the (group, 3, width,
+            gather = (group_rows[:, None], columns)
+            # One persistent scratch block holds the (group, components,
             # times) trig intermediate; every ufunc writes in place, so
             # the evaluation allocates nothing proportional to the group.
-            shape = (group_rows.shape[0], NUM_AXES, width, times.shape[0])
+            shape = (group_rows.shape[0], columns.shape[0], times.shape[0])
             needed = int(np.prod(shape))
             if self._scratch.size < needed:
                 self._scratch = np.empty(needed, dtype=self._dtype)
             work = self._scratch[:needed].reshape(shape)
-            np.multiply(angular[..., None], shifted, out=work)
-            np.add(work, phases[..., None], out=work)
+            np.multiply(self._angular[gather][..., None], shifted, out=work)
+            np.add(work, self._phases_padded[gather][..., None], out=work)
             np.sin(work, out=work)
+            # Mean over the averaging window: amplitude * sinc(f * span),
+            # the per-realisation spelling, on the gathered components.
+            amplitudes = self._amplitudes[gather]
+            if window != 0.0:
+                amplitudes = amplitudes * np.sinc(self._frequencies[gather] * window)
             np.multiply(amplitudes[..., None], work, out=work)
-            # width < 8 slots per axis reduce strictly left to right,
-            # the order of the per-realisation sum.
-            sums = work.sum(axis=2)
+            sums = np.empty(
+                (group_rows.shape[0], NUM_AXES, times.shape[0]), dtype=self._dtype
+            )
+            start = 0
+            for axis, count in enumerate(_signature_counts(signature)):
+                # Fewer than eight components reduce strictly left to
+                # right, the order of the per-realisation sum.
+                np.sum(work[:, start : start + count], axis=1, out=sums[:, axis])
+                start += count
             np.add(self._offsets_padded[group_rows][:, :, None], sums, out=sums)
             output[positions[select]] = sums.transpose(0, 2, 1)
+
+
+def _signature_counts(signature: int) -> Tuple[int, int, int]:
+    """Per-axis component counts of a packed row signature."""
+    return signature % 8, signature // 8 % 8, signature // 64
+
+
+@lru_cache(maxsize=None)
+def _signature_columns(signature: int, slots: int) -> np.ndarray:
+    """Table columns of a signature's real components at ``slots`` per axis.
+
+    The key space is finite (counts and slots are at most
+    :data:`_MAX_FUSED_AXIS_COMPONENTS`), and the cached arrays are
+    frozen, so the unbounded cache is safe to share.
+    """
+    columns = np.array(
+        [
+            axis * slots + index
+            for axis, count in enumerate(_signature_counts(signature))
+            for index in range(count)
+        ],
+        dtype=np.intp,
+    )
+    columns.setflags(write=False)
+    return columns
 
 
 def _profile(
@@ -1019,14 +1089,6 @@ class ScheduledSignal:
             cursor += duration
         self._segments = segments
         self._boundaries = np.array([segment.end_s for segment in segments])
-        # Plain-float copy for bisect: the spanning test runs once per
-        # device per simulated second, where a C-level bisect beats the
-        # numpy searchsorted call overhead several-fold.
-        self._boundary_list = [float(segment.end_s) for segment in segments]
-        # Last segment the spanning lookup resolved to.  Consecutive
-        # simulation ticks almost always stay inside one bout, so the
-        # hint turns the common case into two float comparisons.
-        self._span_hint = 0
 
     @property
     def segments(self) -> List[SignalSegment]:
@@ -1045,11 +1107,7 @@ class ScheduledSignal:
         bout's activity so that simulations may run up to and including
         the final boundary.
         """
-        if time_s < 0:
-            raise ValueError(f"time_s must be non-negative, got {time_s}")
-        index = int(np.searchsorted(self._boundaries, time_s, side="right"))
-        index = min(index, len(self._segments) - 1)
-        return self._segments[index].activity
+        return self.segment_at(time_s).activity
 
     def activities_at(self, times_s: np.ndarray) -> List[Activity]:
         """Ground-truth activities at many times with one lookup.
@@ -1060,53 +1118,27 @@ class ScheduledSignal:
         times = np.asarray(times_s, dtype=float)
         if times.size and times.min() < 0:
             raise ValueError("times_s must be non-negative")
-        indices = np.searchsorted(self._boundaries, times, side="right")
-        indices = np.minimum(indices, len(self._segments) - 1)
-        return [self._segments[int(index)].activity for index in indices]
+        activities = [segment.activity for segment in self._segments]
+        return [activities[index] for index in self.segment_indices(times).tolist()]
 
-    def spanning_segment(
-        self, times_s: np.ndarray
-    ) -> Optional[SignalSegment]:
-        """The single bout covering every time stamp, if any.
+    def segment_indices(self, times_s: np.ndarray) -> np.ndarray:
+        """Index into :attr:`segments` of the bout covering each time.
 
-        Returns ``None`` when the (sorted) times straddle a bout
-        boundary, in which case the caller must fall back to the
-        segment-splitting :meth:`evaluate_windowed` path.  Callers that
-        cache per-bout state (the fleet engine's signal tables) use the
-        segment's time bounds to revalidate without a lookup.  Note the
-        last segment is *clamped*: any window starting at or after its
-        start resolves to it, even past ``end_s``.
+        A bout covers the half-open interval ``[start_s, end_s)``, and
+        the last bout is *clamped*: it covers every later time too, so
+        simulations may run up to and past the final boundary.  This is
+        the per-sample split :meth:`evaluate_windowed` evaluates by;
+        :class:`StackedEvaluationCache` resolves windows that straddle a
+        bout boundary with it.
         """
-        times = np.asarray(times_s, dtype=float)
-        if times.size == 0:
-            return None
-        last = len(self._segments) - 1
-        first_time = float(times[0])
-        last_time = float(times[-1])
-        # Fast path: both end points still fall inside the segment the
-        # previous lookup resolved to (the clamped last segment accepts
-        # any time at or beyond its start).
-        hinted = self._segments[self._span_hint]
-        if first_time >= hinted.start_s and (
-            self._span_hint == last or last_time < hinted.end_s
-        ):
-            return hinted
-        # bisect_right on a float list performs exactly the comparisons
-        # of np.searchsorted(..., side="right"); it is the scalar
-        # spelling of the same lookup, minus the array-call overhead.
-        first = min(bisect_right(self._boundary_list, first_time), last)
-        if first != min(bisect_right(self._boundary_list, last_time), last):
-            return None
-        self._span_hint = first
-        return self._segments[first]
+        indices = np.searchsorted(self._boundaries, times_s, side="right")
+        return np.minimum(indices, len(self._segments) - 1)
 
     def segment_at(self, time_s: float) -> SignalSegment:
         """Return the bout covering ``time_s`` (clamped to the last bout)."""
         if time_s < 0:
             raise ValueError(f"time_s must be non-negative, got {time_s}")
-        index = int(np.searchsorted(self._boundaries, time_s, side="right"))
-        index = min(index, len(self._segments) - 1)
-        return self._segments[index]
+        return self._segments[int(self.segment_indices(time_s))]
 
     def evaluate(self, times_s: np.ndarray) -> np.ndarray:
         """Instantaneous acceleration at the given times."""
@@ -1123,8 +1155,7 @@ class ScheduledSignal:
         if times_s.size and times_s.min() < 0:
             raise ValueError("times_s must be non-negative")
         output = np.empty((times_s.shape[0], NUM_AXES), dtype=float)
-        indices = np.searchsorted(self._boundaries, times_s, side="right")
-        indices = np.minimum(indices, len(self._segments) - 1)
+        indices = self.segment_indices(times_s)
         for segment_index in np.unique(indices):
             mask = indices == segment_index
             segment = self._segments[segment_index]

@@ -755,6 +755,7 @@ class StepEngine:
             )
             tables_revalidations_0 = signal_tables.revalidations
             tables_rebuilds_0 = signal_tables.rebuilds
+            tables_straddles_0 = signal_tables.straddles
             tables_fallbacks_0 = signal_tables.fallbacks
             tables_shared_0 = signal_tables.shared_hits
             plan_hits_0, plan_misses_0 = plan_cache_stats()
@@ -793,6 +794,8 @@ class StepEngine:
             # configuration group (rows whose configuration changed are
             # flushed first); only loose devices with observe hooks still
             # see Python.
+            if metered:
+                ring_start_ns = mx.now_ns()
             for config, indices in groups.items():
                 samples, sample_times = stacks[config]
                 changed = ring.push_group(indices, samples, sample_times, config)
@@ -808,6 +811,8 @@ class StepEngine:
                                     config=config,
                                 )
                             )
+            if metered:
+                mx.span("tick.sense.ring", ring_start_ns, mx.now_ns())
 
             # Banked intensity devices: one stacked derivative pass per
             # configuration replaces their per-object observe hooks.
@@ -918,6 +923,10 @@ class StepEngine:
                 signal_tables.rebuilds - tables_rebuilds_0,
             )
             mx.count(
+                "signal_cache.straddles",
+                signal_tables.straddles - tables_straddles_0,
+            )
+            mx.count(
                 "signal_cache.fallbacks",
                 signal_tables.fallbacks - tables_fallbacks_0,
             )
@@ -964,6 +973,7 @@ class StepEngine:
             table_rows=(
                 None if state.table_rows is None else state.table_rows[rows]
             ),
+            metrics=self._metrics,
         )
 
     # ------------------------------------------------------------------
@@ -1004,8 +1014,14 @@ class StepEngine:
         )
         exact_indices = indices
         steady = None
+        mx = self._metrics
+        metered = mx.enabled
         if geometry is not None:
+            if metered:
+                partials_start_ns = mx.now_ns()
             stacked = self._incremental.chunk_partials_arrays(chunk_stack, geometry)
+            if metered:
+                mx.span("tick.extract.partials", partials_start_ns, mx.now_ns())
             rows = np.empty(features.shape[0], dtype=np.intp)
             rows[indices] = np.arange(len(indices))
             entries = history.get(config)
@@ -1018,10 +1034,9 @@ class StepEngine:
                 steady = indices[steady_mask]
                 exact_indices = indices[~steady_mask]
             if steady is not None and steady.size:
-                if self._metrics.enabled:
-                    self._metrics.count(
-                        "features.incremental_windows", int(steady.size)
-                    )
+                if metered:
+                    mx.count("features.incremental_windows", int(steady.size))
+                    combine_start_ns = mx.now_ns()
                 tailed = bool(geometry.tail_samples)
                 slots = [
                     slot_partials.slot_arrays(
@@ -1032,6 +1047,8 @@ class StepEngine:
                 features[steady] = self._incremental.combine_slot_arrays(
                     slots, geometry
                 )
+                if metered:
+                    mx.span("tick.extract.combine", combine_start_ns, mx.now_ns())
         if len(exact_indices):
             self._extract_exact(features, config, exact_indices, ring)
 

@@ -60,8 +60,11 @@ from repro.obs.metrics import NULL_RECORDER, MetricsRegistry, MetricsSnapshot
 from repro.sensors.imu import DEFAULT_INTERNAL_RATE_HZ
 from repro.utils.validation import check_positive, check_positive_int
 
-#: Schema version of the checkpoint-directory manifest.
-MANIFEST_VERSION = 1
+#: Schema version of the checkpoint-directory manifest.  Bumped whenever
+#: the pickled engine state changes layout (2: the signal-table cache
+#: keeps per-row count signatures and no per-span amplitude tables), so
+#: resuming an older directory fails at the manifest check, not mid-run.
+MANIFEST_VERSION = 2
 
 #: Checkpoint files kept per shard (the latest plus one fallback, so a
 #: crash mid-write of the newest round never strands the campaign).

@@ -45,7 +45,8 @@ COUNTER_GLOSSARY: Dict[str, str] = {
     "noise.pool_bypasses": "acquisitions too large for the noise pool",
     "signal_cache.revalidations": "signal-table cache validity re-checks",
     "signal_cache.rebuilds": "signal-table cache rebuilds",
-    "signal_cache.fallbacks": "acquisitions outside the table cache",
+    "signal_cache.straddles": "signal-table windows straddling a bout boundary",
+    "signal_cache.fallbacks": "acquisitions of signals without segment support",
     "plan_cache.hits": "spectral plan cache hits",
     "plan_cache.misses": "spectral plan cache misses",
     "shard.rounds": "checkpoint rounds simulated across shard attempts",

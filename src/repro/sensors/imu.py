@@ -421,6 +421,7 @@ def read_windows_stacked_raw(
     rngs: Optional[Sequence[np.random.Generator]] = None,
     noise_bank=None,
     table_rows: Optional[np.ndarray] = None,
+    metrics=None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Acquire one configuration group as a ``(devices, samples, 3)`` stack.
 
@@ -449,6 +450,11 @@ def read_windows_stacked_raw(
     shared clean signal — passing the physical row per group member
     here lets the cache keep one row per physical device and serve
     duplicated members by gathering.  Defaults to ``rows``.
+
+    ``metrics`` optionally takes an enabled metrics recorder
+    (:class:`repro.obs.metrics.MetricsRegistry`), which then receives
+    one ``tick.sense.synthesis`` / ``tick.sense.noise`` /
+    ``tick.sense.digitise`` span per call; without one no clock is read.
     """
     rows = np.asarray(rows)
     num_devices = rows.shape[0]
@@ -464,6 +470,9 @@ def read_windows_stacked_raw(
             f"rngs must be parallel to rows, got {len(rngs)} generators "
             f"for {num_devices} rows"
         )
+    metered = metrics is not None and metrics.enabled
+    if metered:
+        synthesis_start_ns = metrics.now_ns()
     times = _sample_times(end_time_s, duration_s, config)
     num_samples = times.shape[0]
     clean = tables.evaluate_signals(
@@ -472,6 +481,9 @@ def read_windows_stacked_raw(
         times,
         statics.averaging_window_duration(config),
     )
+    if metered:
+        noise_start_ns = metrics.now_ns()
+        metrics.span("tick.sense.synthesis", synthesis_start_ns, noise_start_ns)
     lane = clean.dtype
     stds = statics.noise_stds(config.averaging_window)[rows]
     if noise_bank is not None:
@@ -481,6 +493,9 @@ def read_windows_stacked_raw(
         for rng, std, block in zip(rngs, stds, noise):
             block[...] = rng.normal(0.0, std, size=(num_samples, 3))
     np.add(clean, noise, out=clean)
+    if metered:
+        digitise_start_ns = metrics.now_ns()
+        metrics.span("tick.sense.noise", noise_start_ns, digitise_start_ns)
     # Casting the output-stage constants to the lane dtype keeps the
     # single-precision lane in float32 loops end to end (float64
     # operands would silently promote every ufunc pass).
@@ -490,4 +505,6 @@ def read_windows_stacked_raw(
         statics.full_scales[rows].astype(lane, copy=False)[:, None, None],
         statics.lsbs[rows].astype(lane, copy=False)[:, None, None],
     )
+    if metered:
+        metrics.span("tick.sense.digitise", digitise_start_ns, metrics.now_ns())
     return quantised, times

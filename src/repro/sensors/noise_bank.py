@@ -192,16 +192,17 @@ class NoiseBank:
             # device's own, just unpooled.
             values = np.empty((rows.shape[0], count), dtype=np.float32)
             for index, device in enumerate(rows):
-                values[index] = self._generators[device].standard_normal(
-                    count, dtype=np.float32
+                self._generators[device].standard_normal(
+                    dtype=np.float32, out=values[index]
                 )
             self.pool_bypasses += rows.shape[0]
         else:
             cursors = self._cursors[rows]
             exhausted = rows[cursors + count > self._pool_values]
+            # Refills draw straight into the pool row: no temporary.
             for device in exhausted:
-                self._pool[device] = self._generators[device].standard_normal(
-                    self._pool_values, dtype=np.float32
+                self._generators[device].standard_normal(
+                    dtype=np.float32, out=self._pool[device]
                 )
             if exhausted.size:
                 self.refills += int(exhausted.size)

@@ -633,6 +633,59 @@ class TestGoldenReport:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         assert digest == self.GOLDEN_SHA256
 
+    #: SHA-256s of a batched-noise fleet report and of a small campaign
+    #: report (host-time fields removed), recorded before the chunk
+    #: kernel moved to its time-major spelling and before windows that
+    #: straddle a bout boundary joined the fused synthesis pass.  Both
+    #: runs cross bout boundaries mid-window, and the reference loop
+    #: shares the chunk kernel, so only these pins catch a drift there.
+    BATCHED_FLEET_SHA256 = (
+        "c375cc20beef0828b6cd33cedbb750e7a1560dfb73cc5940823a81019a1234b7"
+    )
+    CAMPAIGN_SHA256 = (
+        "5a2e8046e766e6b2ca3ca8beba56baacf2b606cd583e996f0121084227b65b97"
+    )
+
+    def test_batched_fleet_report_is_pinned(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        code = main(
+            [
+                "fleet",
+                "--devices", "16",
+                "--duration", "40",
+                "--windows", "6",
+                "--seed", "5",
+                "--noise", "batched",
+                "--out", str(path),
+            ],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == self.BATCHED_FLEET_SHA256
+
+    def test_campaign_report_is_pinned(self, tmp_path):
+        path = tmp_path / "campaign.json"
+        code = main(
+            [
+                "campaign",
+                "--devices", "6",
+                "--duration", "30",
+                "--windows", "6",
+                "--seed", "5",
+                "--thresholds", "10,30",
+                "--confidences", "0.75,0.9",
+                "--out", str(path),
+            ],
+            out=io.StringIO(),
+        )
+        assert code == 0
+        report = json.loads(path.read_bytes())
+        del report["meta"]["elapsed_s"]
+        del report["meta"]["throughput_device_seconds_per_s"]
+        data = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(data).hexdigest() == self.CAMPAIGN_SHA256
+
 
 class TestCampaignCommand:
     def test_campaign_defaults(self):

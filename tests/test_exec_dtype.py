@@ -190,20 +190,28 @@ class TestPlanCache:
         assert spectral_plan(slow, extractor) is not double
         assert plan_cache_stats() == (2, 3)
 
-    def test_lane_tables_and_padding(self):
+    def test_lanes_share_the_stacked_real_basis(self):
         extractor = FeatureExtractor()
-        geometry = WindowGeometry.for_window(20.0, 1.0, 2.0)
+        # 12.5 Hz leaves a trimmed tail chunk, so both bases exist.
+        geometry = WindowGeometry.for_window(12.5, 1.0, 2.0)
         clear_plan_cache()
         double = spectral_plan(geometry, extractor)
         single = spectral_plan(geometry, extractor, dtype=np.float32)
-        assert double.chunk_basis.dtype == np.complex128
-        assert double.pad_samples is None
-        assert single.chunk_basis.dtype == np.complex64
-        # The float32 lane computes chunk DFTs as zero-padded rffts of
-        # window length (batch-size independent, unlike BLAS paths).
-        assert single.pad_samples == geometry.window_samples
-        for basis in (double, single):
-            assert not basis.chunk_basis.flags.writeable
+        # One real [Re; Im] projection per lane: the float32 basis is the
+        # float64 one rounded once, so both lanes run the same kernel.
+        for name, samples in (
+            ("chunk_basis", geometry.chunk_samples),
+            ("tail_basis", geometry.tail_samples),
+        ):
+            wide, narrow = getattr(double, name), getattr(single, name)
+            assert wide.dtype == np.float64
+            assert narrow.dtype == np.float32
+            assert wide.shape == narrow.shape == (2 * double.bins, samples)
+            np.testing.assert_array_equal(narrow, wide.astype(np.float32))
+            assert not wide.flags.writeable
+            assert not narrow.flags.writeable
+        assert double.chunk_phases.dtype == np.complex128
+        assert single.chunk_phases.dtype == np.complex64
 
     def test_clear_resets_counters(self):
         extractor = FeatureExtractor()

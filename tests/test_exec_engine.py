@@ -157,9 +157,8 @@ class TestStackedSensing:
     def test_read_windows_stacked_matches_read_window(self, config_name):
         """Stacked acquisition is bit-identical to per-device reads for
         every Table I sampling-rate family, with either noise source.
-        Each group mixes static and gait rows (one trig pass per row
-        width), and some ticks straddle a bout boundary (the per-device
-        fallback)."""
+        Each group mixes static and gait rows (one trig pass per count
+        signature), and some ticks straddle a bout boundary."""
         config = TABLE1_BY_NAME[config_name]
         sensors = [
             SimulatedAccelerometer(
@@ -206,9 +205,14 @@ class TestStackedSensing:
                 for index, reference in enumerate(references):
                     np.testing.assert_array_equal(stack[index], reference.samples)
                     np.testing.assert_array_equal(times, reference.times_s)
-            # The groups really held both row widths and straddling rows.
-            assert set(tables._widths[tables._fusable].tolist()) == {1, 3}
-            assert tables.fallbacks > 0
+            # The groups really held both count signatures, (1, 1, 1)
+            # and (2, 2, 3), and windows straddling a bout boundary —
+            # all served by the fused pass, none by a fallback.
+            assert set(tables._signatures[tables._fusable].tolist()) == {
+                1 + 8 + 64, 2 + 16 + 192
+            }
+            assert tables.straddles > 0
+            assert tables.fallbacks == 0
 
     def test_mixed_internal_rates_rejected(self):
         signal = ScheduledSignal(make_fig5_schedule(2.0, 2.0), seed=0)
@@ -262,16 +266,18 @@ class TestScheduledSignalHelpers:
         vectorised = signal.activities_at(times)
         assert vectorised == [signal.activity_at(float(t)) for t in times]
 
-    def test_spanning_segment_single_bout(self):
+    def test_segment_indices_single_bout(self):
         signal = ScheduledSignal(make_fig5_schedule(5.0, 5.0), seed=4)
         inside = np.linspace(1.0, 2.0, 10)
-        segment = signal.spanning_segment(inside)
-        assert segment.realization is signal.segments[0].realization
+        np.testing.assert_array_equal(signal.segment_indices(inside), 0)
 
-    def test_spanning_segment_across_boundary_is_none(self):
+    def test_segment_indices_split_at_boundary_and_clamp(self):
         signal = ScheduledSignal(make_fig5_schedule(5.0, 5.0), seed=4)
-        straddling = np.linspace(4.5, 5.5, 10)
-        assert signal.spanning_segment(straddling) is None
+        last = len(signal.segments) - 1
+        times = np.array([4.5, 4.999, 5.0, 5.5, signal.duration_s, 1e6])
+        np.testing.assert_array_equal(
+            signal.segment_indices(times), [0, 0, 1, 1, last, last]
+        )
 
 
 class TestClosedLoopFacade:

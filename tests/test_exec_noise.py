@@ -23,9 +23,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.activities import Activity
 from repro.datasets.synthetic import (
+    ActivityProfile,
+    HarmonicSpec,
     ScheduledSignal,
     StackedEvaluationCache,
+    SyntheticSignalGenerator,
     default_activity_profiles,
 )
 from repro.exec.engine import NOISE_MODES, StepEngine
@@ -279,3 +283,133 @@ class TestSignalTableCache:
                 [signal.evaluate_windowed(times, 0.02) for signal in signals]
             )
             np.testing.assert_array_equal(via_signals, expected)
+
+
+def _wide_sit_generator(seed):
+    """Default profiles, but ``sit`` carries eight x-axis components —
+    more than the fused layout hosts, so its bouts are non-fusable."""
+    profiles = default_activity_profiles()
+    profiles[Activity.SIT] = ActivityProfile(
+        activity=Activity.SIT,
+        gravity_direction=(0.42, 0.12, 0.90),
+        base_frequency_hz=0.25,
+        frequency_jitter=0.3,
+        harmonics=tuple(
+            HarmonicSpec(axis=axis, amplitude=0.05, frequency_scale=scale)
+            for axis, scale in [(0, 1.0 + 0.1 * i) for i in range(8)]
+            + [(1, 1.3), (2, 0.7)]
+        ),
+    )
+    return SyntheticSignalGenerator(profiles, seed=seed)
+
+
+class TestStraddlingWindows:
+    """Windows that straddle a bout boundary stay on the fused pass and
+    equal :meth:`ScheduledSignal.evaluate_windowed`'s per-bout split."""
+
+    #: (schedule, window start, window end): one boundary, then two.
+    CASES = (
+        ([("walk", 2.3), ("sit", 5.0)], 1.5, 2.5),
+        ([("walk", 1.2), ("stand", 0.4), ("downstairs", 5.0)], 0.8, 1.8),
+    )
+
+    @pytest.mark.parametrize("window", (0.0, 0.02))
+    @pytest.mark.parametrize("case", range(len(CASES)))
+    def test_straddle_matches_the_per_bout_split(self, case, window):
+        schedule, start, end = self.CASES[case]
+        boundaries = len(schedule) - 1
+        signals = [ScheduledSignal(schedule, seed=seed) for seed in range(5)]
+        cache = StackedEvaluationCache(5)
+        rows = np.arange(5)
+        times = np.linspace(start, end, 41)
+        np.testing.assert_array_equal(
+            cache.evaluate_signals(signals, rows, times, window),
+            np.stack([signal.evaluate_windowed(times, window) for signal in signals]),
+        )
+        assert cache.straddles == 5
+        assert cache.fallbacks == 0
+        assert cache._overflow._num_devices == 5 * boundaries
+        # Each device row holds the bout covering the window's end, so
+        # the next tick revalidates instead of rebuilding.
+        rebuilds = cache.rebuilds
+        later = times + (end - start)
+        np.testing.assert_array_equal(
+            cache.evaluate_signals(signals, rows, later, window),
+            np.stack([signal.evaluate_windowed(later, window) for signal in signals]),
+        )
+        assert cache.rebuilds == rebuilds
+        assert cache.revalidations == 5
+        assert cache.straddles == 5
+
+    def test_shared_table_rows_straddle_once(self):
+        signals = [
+            ScheduledSignal([("upstairs", 3.5), ("lie", 4.0)], seed=seed)
+            for seed in range(3)
+        ]
+        members = [signals[0], signals[1], signals[0], signals[2], signals[1]]
+        rows = np.array([0, 1, 0, 2, 1])
+        times = np.linspace(3.0, 4.0, 26)
+        cache = StackedEvaluationCache(3)
+        np.testing.assert_array_equal(
+            cache.evaluate_signals(members, rows, times, 0.01),
+            np.stack([signal.evaluate_windowed(times, 0.01) for signal in members]),
+        )
+        assert cache.straddles == 3
+        assert cache.shared_hits == 2
+
+    @pytest.mark.parametrize(
+        "schedule",
+        ([("walk", 2.5), ("sit", 4.0)], [("sit", 2.5), ("walk", 4.0)]),
+        ids=("non-fusable-after", "non-fusable-before"),
+    )
+    def test_non_fusable_bout_in_a_straddle(self, schedule):
+        generator = _wide_sit_generator(3)
+        signals = [
+            ScheduledSignal(schedule, generator=generator, seed=seed)
+            for seed in range(4)
+        ]
+        cache = StackedEvaluationCache(4)
+        times = np.linspace(2.0, 3.0, 33)
+        np.testing.assert_array_equal(
+            cache.evaluate_signals(signals, np.arange(4), times, 0.02),
+            np.stack([signal.evaluate_windowed(times, 0.02) for signal in signals]),
+        )
+        assert cache.straddles == 4
+        assert cache.fallbacks == 0
+
+    def test_float32_straddle_matches_float64_within_rounding(self):
+        signals = [
+            ScheduledSignal([("walk", 1.2), ("stand", 0.4), ("downstairs", 5.0)], seed=seed)
+            for seed in range(6)
+        ]
+        times = np.linspace(0.8, 1.8, 41)
+        single = StackedEvaluationCache(6, dtype=np.float32)
+        narrow = single.evaluate_signals(signals, np.arange(6), times, 0.02)
+        assert narrow.dtype == np.float32
+        np.testing.assert_allclose(
+            narrow,
+            np.stack([signal.evaluate_windowed(times, 0.02) for signal in signals]),
+            rtol=0,
+            atol=1e-4,
+        )
+
+    def test_signals_without_segment_support_fall_back(self):
+        class Plain:
+            """Only the evaluation protocol; no bout split."""
+
+            def __init__(self, signal):
+                self._signal = signal
+
+            def evaluate_windowed(self, times, window):
+                return self._signal.evaluate_windowed(times, window)
+
+        signals = [ScheduledSignal([("walk", 1.5), ("sit", 3.0)], seed=seed) for seed in range(3)]
+        plain = [Plain(signal) for signal in signals]
+        cache = StackedEvaluationCache(3)
+        times = np.linspace(1.0, 2.0, 21)
+        np.testing.assert_array_equal(
+            cache.evaluate_signals(plain, np.arange(3), times, 0.0),
+            np.stack([signal.evaluate_windowed(times, 0.0) for signal in signals]),
+        )
+        assert cache.fallbacks == 3
+        assert cache.straddles == 0

@@ -19,6 +19,7 @@ from repro.fleet import (
     traces_equal,
 )
 from repro.obs import MetricsRegistry, NULL_RECORDER
+from repro.obs.metrics import NullRecorder
 
 NUM_DEVICES = 4
 DURATION_S = 30.0
@@ -184,6 +185,50 @@ class TestCounters:
             "tick.fold",
             "engine.run",
         }
+
+    def test_sense_and_extract_sub_spans_nest_in_their_phase(
+        self, trained_pipeline, population
+    ):
+        registry = MetricsRegistry()
+        FleetSimulator(trained_pipeline, noise="batched", metrics=registry).run(
+            population
+        )
+        histograms = registry.snapshot().histograms
+        nested = {
+            "tick.sense": ("synthesis", "noise", "digitise", "ring"),
+            "tick.extract": ("partials", "combine"),
+        }
+        for phase, parts in nested.items():
+            names = [f"{phase}.{part}" for part in parts]
+            for name in names:
+                assert histograms[name].count >= NUM_STEPS, name
+            # Sub-spans lie inside their phase span and never overlap.
+            assert (
+                sum(histograms[name].total for name in names)
+                <= histograms[phase].total
+            )
+
+    @pytest.mark.parametrize("noise", ("per_device", "batched"))
+    def test_unmetered_run_reads_no_clock(
+        self, trained_pipeline, population, monkeypatch, noise
+    ):
+        """Counting shim on both recorders' clocks: an unmetered run,
+        sub-spans included, never asks for the time."""
+        reads = []
+
+        def counting_now_ns(recorder):
+            reads.append(type(recorder).__name__)
+            return 0
+
+        monkeypatch.setattr(NullRecorder, "now_ns", counting_now_ns)
+        monkeypatch.setattr(MetricsRegistry, "now_ns", counting_now_ns)
+        FleetSimulator(trained_pipeline, noise=noise).run(population)
+        assert reads == []
+        # The shim does see a metered run's clock reads.
+        FleetSimulator(
+            trained_pipeline, noise=noise, metrics=MetricsRegistry()
+        ).run(population)
+        assert reads and set(reads) == {"MetricsRegistry"}
 
     def test_default_simulator_uses_the_null_recorder(self, trained_pipeline):
         simulator = FleetSimulator(trained_pipeline)
