@@ -57,6 +57,7 @@ trace is bit-identical to the independent single-device loop of
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -87,6 +88,7 @@ from repro.sensors.imu import (
 )
 from repro.sensors.noise_bank import NoiseBank
 from repro.sim.trace import SimulationTrace, StepRecord, TraceSummary
+from repro.utils.blas import blas_threads
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
 
@@ -674,6 +676,22 @@ class StepEngine:
                 f"state holds {state.num_devices} devices, got "
                 f"{len(runtimes)} runtimes"
             )
+        # From a few thousand rows OpenBLAS splits the per-tick classify
+        # GEMM across threads, and its idle worker then spin-waits
+        # through the rest of every tick.  One thread changes no value
+        # (see repro.utils.blas).
+        with blas_threads(1):
+            return self._run(runtimes, num_steps, trace, state, start_step)
+
+    def _run(
+        self,
+        runtimes: Sequence[DeviceRuntime],
+        num_steps: int,
+        trace: str,
+        state: EngineState,
+        start_step: int,
+    ) -> Union[List[SimulationTrace], List[TraceSummary]]:
+        """The tick loop of :meth:`run`, on validated arguments."""
         num_devices = len(runtimes)
         step_s = self._step_s
         controllers = state.controllers
@@ -743,6 +761,7 @@ class StepEngine:
         metered = mx.enabled
         if metered:
             run_start_ns = mx.now_ns()
+            run_cpu_s = time.process_time()
             mx.count("engine.runs")
             mx.gauge("engine.devices", float(num_devices))
             # Reused states carry their counters across runs (the
@@ -938,6 +957,8 @@ class StepEngine:
             mx.count("plan_cache.hits", plan_hits_1 - plan_hits_0)
             mx.count("plan_cache.misses", plan_misses_1 - plan_misses_0)
             mx.span("engine.run", run_start_ns, mx.now_ns())
+            # Process CPU over the same interval, every thread included.
+            mx.count("engine.cpu_s", time.process_time() - run_cpu_s)
             # Progress tap for the live-telemetry plane: the absolute
             # step cursor after this segment, readable between segments
             # by the heartbeat emitter without touching engine state.

@@ -38,6 +38,7 @@ _METRIC_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
 COUNTER_GLOSSARY: Dict[str, str] = {
     "engine.runs": "engine.run invocations (one per shard attempt segment)",
     "engine.ticks": "simulated classification ticks across all devices",
+    "engine.cpu_s": "process CPU seconds (all threads) spent inside engine.run",
     "engine.config_groups": "per-tick sensor-configuration cohorts formed",
     "engine.config_switches": "devices that changed configuration on a tick",
     "features.incremental_windows": "windows served by the incremental path",

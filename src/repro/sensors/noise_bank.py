@@ -79,15 +79,20 @@ class NoiseBank:
         pool_values: int = POOL_VALUES,
     ) -> None:
         check_positive_int(pool_values, "pool_values")
-        # The sequences are kept so :meth:`reset` can rewind every
-        # stream to its origin without re-spawning children (spawning
-        # advances the parent's child counter, which would silently
-        # change the streams of a reused runtime).
-        self._seed_sequences: List[np.random.SeedSequence] = list(seed_sequences)
         self._generators: List[np.random.Generator] = [
             np.random.Generator(np.random.Philox(seed_seq))
-            for seed_seq in self._seed_sequences
+            for seed_seq in seed_sequences
         ]
+        # Origin states, so :meth:`reset` rewinds every stream in place
+        # instead of constructing new generators.  An unadvanced Philox
+        # state differs between devices only in its key (zero counter,
+        # empty buffer), so one captured state plus the per-device keys
+        # holds every origin.
+        origins = [generator.bit_generator.state for generator in self._generators]
+        self._origin = origins[0] if origins else None
+        self._keys = np.array(
+            [origin["state"]["key"] for origin in origins], dtype=np.uint64
+        )
         self._pool_values = int(pool_values)
         self._pool = np.empty(
             (len(self._generators), self._pool_values), dtype=np.float32
@@ -126,18 +131,20 @@ class NoiseBank:
     def reset(self) -> None:
         """Rewind every device stream to its origin.
 
-        Reusable fleet runtimes call this between runs: the Philox
-        generators are recreated from the stored seed sequences (a
+        Reusable fleet runtimes call this between runs: every Philox
+        generator is restored to its construction state (a
         counter-based stream restarts exactly), the cursors are marked
         exhausted so the first acquisition refills from the rewound
-        streams, and the observability counters start over.  The pool
-        array itself is reused — its stale contents are never consumed
-        before a refill overwrites them.
+        streams, and the observability counters start over.  The
+        generators and the pool array are reused — the pool's stale
+        contents are never consumed before a refill overwrites them.
         """
-        self._generators = [
-            np.random.Generator(np.random.Philox(seed_seq))
-            for seed_seq in self._seed_sequences
-        ]
+        origin = self._origin
+        for generator, key in zip(self._generators, self._keys):
+            generator.bit_generator.state = {
+                **origin,
+                "state": {"counter": origin["state"]["counter"], "key": key},
+            }
         self._cursors.fill(self._pool_values)
         self.refills = 0
         self.pool_bypasses = 0

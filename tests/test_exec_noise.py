@@ -20,6 +20,8 @@ The layer's contract has three parts, each pinned here:
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,34 @@ class TestBitIdentityWithinMode:
             assert run.num_shards == num_shards
             for left, right in zip(run.result.traces, reference.traces):
                 assert traces_equal(left, right)
+
+    def test_reused_runtime_rewinds_without_new_generators(
+        self, trained_pipeline, population, monkeypatch
+    ):
+        """A reused runtime's second run replays the first byte for
+        byte, and rewinding its noise streams constructs no generator."""
+        from repro.fleet import FleetTelemetry
+
+        simulator = FleetSimulator(trained_pipeline, noise="batched")
+        runtime = simulator.build_runtime(population)
+
+        def report():
+            result = simulator.run(runtime=runtime, trace="summary")
+            return json.dumps(
+                FleetTelemetry.from_result(result).to_dict(), sort_keys=True
+            )
+
+        first = report()
+        constructed = []
+        generator = np.random.Generator
+
+        def counting_generator(*args, **kwargs):
+            constructed.append(args)
+            return generator(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", counting_generator)
+        assert report() == first
+        assert constructed == []
 
     def test_summary_trace_identical_to_full(self, trained_pipeline, population):
         from repro.fleet import FleetTelemetry

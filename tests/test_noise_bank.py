@@ -121,6 +121,23 @@ class TestPoolDiscipline:
         np.testing.assert_array_equal(first[0], pool_one[:27].reshape(9, 3))
         np.testing.assert_array_equal(second[0], pool_two[:12].reshape(4, 3))
 
+    def test_reset_rewinds_every_stream_in_place(self):
+        """After a reset, pooled and bypassing draws alike replay each
+        device's stream from its origin, on the same generators."""
+        bank = make_bank(3, seed=17, pool_values=16)
+        rows = np.arange(3)
+        generators = list(bank._generators)
+        first = bank.normal(rows, 4, np.ones(3)).copy()
+        bank.normal(rows, 9, np.ones(3))  # bypasses the pool
+        bank.reset()
+        assert bank._generators == generators
+        assert bank.refills == bank.pool_bypasses == 0
+        for device in rows:
+            assert repr(generators[device].bit_generator.state) == repr(
+                reference_stream(17, 3, device).bit_generator.state
+            )
+        np.testing.assert_array_equal(bank.normal(rows, 4, np.ones(3)), first)
+
     def test_oversized_acquisition_bypasses_pool(self):
         bank = make_bank(1, seed=11, pool_values=16)
         block = bank.normal(np.array([0]), 40, np.ones(1))

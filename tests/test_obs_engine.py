@@ -9,6 +9,8 @@ device-attributable metrics.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.fleet import (
@@ -122,6 +124,7 @@ class TestCounters:
             == NUM_DEVICES * NUM_STEPS
         )
         assert snapshot.counters["noise.refills"] > 0.0
+        assert snapshot.counters["engine.cpu_s"] > 0.0
         assert snapshot.gauges["engine.devices"] == NUM_DEVICES
         for phase in (
             "tick.sense",
@@ -212,23 +215,33 @@ class TestCounters:
     def test_unmetered_run_reads_no_clock(
         self, trained_pipeline, population, monkeypatch, noise
     ):
-        """Counting shim on both recorders' clocks: an unmetered run,
-        sub-spans included, never asks for the time."""
+        """Counting shims on both recorders' clocks and on the process
+        CPU clock: an unmetered run, sub-spans included, never asks for
+        the time."""
         reads = []
+        cpu_reads = []
 
         def counting_now_ns(recorder):
             reads.append(type(recorder).__name__)
             return 0
 
+        def counting_process_time():
+            cpu_reads.append(1)
+            return 0.0
+
         monkeypatch.setattr(NullRecorder, "now_ns", counting_now_ns)
         monkeypatch.setattr(MetricsRegistry, "now_ns", counting_now_ns)
+        monkeypatch.setattr(time, "process_time", counting_process_time)
         FleetSimulator(trained_pipeline, noise=noise).run(population)
         assert reads == []
-        # The shim does see a metered run's clock reads.
+        assert cpu_reads == []
+        # The shims do see a metered run's clock reads: span clocks and
+        # one CPU reading at each end of the run.
         FleetSimulator(
             trained_pipeline, noise=noise, metrics=MetricsRegistry()
         ).run(population)
         assert reads and set(reads) == {"MetricsRegistry"}
+        assert len(cpu_reads) == 2
 
     def test_default_simulator_uses_the_null_recorder(self, trained_pipeline):
         simulator = FleetSimulator(trained_pipeline)
@@ -254,6 +267,10 @@ class TestShardedMetrics:
         merged = run.metrics
         assert merged.histograms["shard.elapsed_s"].count == run.num_shards
         assert merged.gauges["shard.count"] == run.num_shards
+        # Engine CPU is per worker process; the merge sums it.
+        assert merged.counters["engine.cpu_s"] == pytest.approx(
+            sum(part.counters["engine.cpu_s"] for part in run.shard_metrics)
+        )
 
     def test_device_attributable_counters_are_shard_invariant(
         self, trained_pipeline, population
